@@ -387,7 +387,6 @@ struct LtbReport {
   Count num_banks = 0;
   double unpruned_ns = 0;
   double pruned_ns = 0;
-  double pruned_mt_ns = 0;
   double speedup = 0;
 };
 
@@ -402,18 +401,14 @@ int ltb_leg(bool quick, std::vector<LtbReport>& out) {
     baseline::LtbOptions unpruned;
     baseline::LtbOptions pruned;
     pruned.prune = true;
-    baseline::LtbOptions pruned_mt = pruned;
-    pruned_mt.threads = 2;
     baseline::LtbScratch scratch;
 
     const baseline::LtbSolution a = baseline::ltb_solve(p, unpruned);
     const baseline::LtbSolution b = baseline::ltb_solve(p, pruned, scratch);
-    const baseline::LtbSolution c = baseline::ltb_solve(p, pruned_mt, scratch);
-    if (a.num_banks != b.num_banks || a.num_banks != c.num_banks ||
-        a.transform.alpha() != b.transform.alpha() ||
-        a.transform.alpha() != c.transform.alpha()) {
+    if (a.num_banks != b.num_banks ||
+        a.transform.alpha() != b.transform.alpha()) {
       std::cerr << "FAIL ltb " << p.name()
-                << ": pruned/threaded solution differs from the unpruned "
+                << ": pruned solution differs from the unpruned "
                    "enumeration\n";
       return 1;
     }
@@ -427,9 +422,6 @@ int ltb_leg(bool quick, std::vector<LtbReport>& out) {
     baseline::LtbSolution warm;
     r.pruned_ns = time_best_ns(reps, [&] {
       baseline::ltb_solve_into(p, pruned, scratch, warm);
-    });
-    r.pruned_mt_ns = time_best_ns(reps, [&] {
-      baseline::ltb_solve_into(p, pruned_mt, scratch, warm);
     });
     r.speedup = r.pruned_ns > 0 ? r.unpruned_ns / r.pruned_ns : 0;
     out.push_back(r);
@@ -474,7 +466,6 @@ void write_json(const std::string& path, bool quick,
     json << "    {\"name\": \"" << r.name << "\", \"num_banks\": "
          << r.num_banks << ", \"unpruned_ns\": " << r.unpruned_ns
          << ", \"pruned_ns\": " << r.pruned_ns
-         << ", \"pruned_mt_ns\": " << r.pruned_mt_ns
          << ", \"speedup\": " << r.speedup << '}'
          << (i + 1 < ltb.size() ? ",\n" : "\n");
   }

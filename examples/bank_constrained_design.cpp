@@ -9,7 +9,6 @@
 
 #include "common/table.h"
 #include "core/overhead.h"
-#include "core/advisor.h"
 #include "core/partitioner.h"
 #include "hw/addr_gen.h"
 #include "hw/bram.h"
@@ -63,23 +62,6 @@ int main() {
                "access cycles (fast fold) while the same-size sweep sometimes\n"
                "finds a smaller N with the same cycles; storage overhead\n"
                "depends on divisibility of the innermost extent, not on the\n"
-               "budget monotonically.\n\n";
-
-  // The advisor condenses all of the above into the Pareto frontier.
-  std::cout << "=== Pareto frontier for LoG on " << frame.to_string()
-            << " (explore_design_space) ===\n";
-  TextTable frontier;
-  frontier.row({"banks", "cycles", "ovh elems", "how"});
-  frontier.separator();
-  for (const DesignPoint& p : explore_design_space(patterns::log5x5(), frame)) {
-    frontier.add_row();
-    frontier.cell(p.banks)
-        .cell(p.access_cycles)
-        .cell(p.overhead_elements)
-        .cell(p.label);
-  }
-  frontier.print(std::cout);
-  std::cout << "\nEvery listed point is undominated: fewer banks always cost\n"
-               "cycles or bandwidth; the designer just picks a row.\n";
+               "budget monotonically.\n";
   return 0;
 }

@@ -1,13 +1,11 @@
 #include "baseline/ltb.h"
 
 #include <algorithm>
-#include <atomic>
 #include <span>
 #include <vector>
 
 #include "common/errors.h"
 #include "common/math_util.h"
-#include "common/parallel.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -52,15 +50,6 @@ bool next_vector(std::vector<Count>& alpha, Count banks) {
     alpha[d] = 0;
   }
   return false;
-}
-
-/// Decodes the flat lexicographic index (last dimension fastest, matching
-/// next_vector) into the alpha vector it denotes.
-void flat_to_vector(Count flat, Count banks, std::vector<Count>& alpha) {
-  for (size_t d = alpha.size(); d-- > 0;) {
-    alpha[d] = flat % banks;
-    flat /= banks;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -155,8 +144,8 @@ DiffGroups build_diff_groups(const Pattern& pattern, LtbScratch& scratch) {
   return groups;
 }
 
-/// One DFS worker's state for a fixed candidate N. Op charges accumulate
-/// locally and flush once per shard so the hot walk is not a stream of
+/// The DFS state for a fixed candidate N. Op charges accumulate locally
+/// and flush once per candidate so the hot walk is not a stream of
 /// thread-local counter increments.
 struct Dfs {
   const DiffGroups* groups = nullptr;
@@ -222,75 +211,13 @@ void finish_solution(Count banks, std::span<const Count> alpha,
   obs::record_op_tally(out.ops, "ltb.ops");
 }
 
-/// The pruned search (sequential and sharded). Returns via `out`; throws
-/// InvalidState on exhaustion like the unpruned walk.
+/// The pruned search. Returns via `out`; throws InvalidState on exhaustion
+/// like the unpruned walk.
 void solve_pruned(const Pattern& pattern, const LtbOptions& options,
-                  Count threads, LtbScratch& scratch, OpScope& scope,
-                  obs::Span& span, LtbSolution& out) {
-  const int rank = pattern.rank();
-  const auto urank = static_cast<size_t>(rank);
+                  LtbScratch& scratch, OpScope& scope, obs::Span& span,
+                  LtbSolution& out) {
+  const auto urank = static_cast<size_t>(pattern.rank());
   const DiffGroups groups = build_diff_groups(pattern, scratch);
-
-  if (!groups.conflicted && threads > 1) {
-    // Sharded pruned search: each worker owns one top-level coordinate
-    // value and DFS-es its subtree; the winner is the atomic MINIMUM
-    // conflict-free flat index, which is exactly the alpha the sequential
-    // DFS returns first (subtrees are disjoint and lex-ordered by a0).
-    ThreadPool pool(threads);
-    for (Count banks = pattern.size(); banks <= options.max_banks; ++banks) {
-      obs::Span candidate("ltb.candidate");
-      Count total = 1;
-      for (int d = 0; d < rank; ++d) total = checked_mul(total, banks);
-      const Count subtree = total / banks;  // leaves under one a0
-      scratch.shard_alpha.assign(static_cast<size_t>(banks) * urank, 0);
-      std::atomic<Count> best{total};
-      std::atomic<Count> tried{0};
-      pool.parallel_for(banks, [&](Count a0) {
-        if (a0 * subtree >= best.load(std::memory_order_relaxed)) return;
-        Dfs dfs;
-        dfs.groups = &groups;
-        dfs.banks = banks;
-        dfs.alpha =
-            scratch.shard_alpha.data() + static_cast<size_t>(a0) * urank;
-        dfs.alpha[0] = a0;
-        bool found = false;
-        if (dfs.prefix_ok(0)) {
-          if (rank == 1) {
-            ++dfs.leaves;
-            found = true;
-          } else {
-            found = dfs.search(1);
-          }
-        } else if (rank == 1) {
-          ++dfs.leaves;
-        }
-        dfs.flush_charges();
-        tried.fetch_add(dfs.leaves, std::memory_order_relaxed);
-        if (found) {
-          Count flat = 0;
-          for (size_t d = 0; d < urank; ++d) flat = flat * banks + dfs.alpha[d];
-          Count current = best.load(std::memory_order_relaxed);
-          while (flat < current &&
-                 !best.compare_exchange_weak(current, flat,
-                                             std::memory_order_relaxed)) {
-          }
-        }
-      });
-      const Count winner = best.load(std::memory_order_relaxed);
-      out.vectors_tried += tried.load(std::memory_order_relaxed);
-      candidate.arg("N", banks)
-          .arg("vectors_tried", tried.load(std::memory_order_relaxed))
-          .arg("found", Count{winner < total});
-      if (winner < total) {
-        scratch.alpha.resize(urank);  // mempart-analyze: allow(noalloc) rank-bounded winner buffer in reused scratch; capacity persists across solves
-        flat_to_vector(winner, banks, scratch.alpha);
-        finish_solution(banks, scratch.alpha, scope, span, out);
-        return;
-      }
-    }
-    throw InvalidState(
-        "ltb_solve: no conflict-free transform within max_banks");
-  }
 
   for (Count banks = pattern.size();
        !groups.conflicted && banks <= options.max_banks; ++banks) {
@@ -329,65 +256,11 @@ void ltb_solve_into(const Pattern& pattern, const LtbOptions& options,
   OpScope scope;
   out.num_banks = 0;
   out.vectors_tried = 0;
-  const Count threads =
-      options.threads == 0 ? default_thread_count() : options.threads;
   if (options.prune) {
-    solve_pruned(pattern, options, threads, scratch, scope, span, out);
+    solve_pruned(pattern, options, scratch, scope, span, out);
     return;
   }
 
-  if (threads > 1) {
-    // Sharded enumeration: chunks of the flat lexicographic index space are
-    // handed to a pool; the winner is the atomic MINIMUM conflict-free flat
-    // index, which is exactly the alpha the sequential scan returns first.
-    ThreadPool pool(threads);
-    const int rank = pattern.rank();
-    for (Count banks = pattern.size(); banks <= options.max_banks; ++banks) {
-      obs::Span candidate("ltb.candidate");
-      Count total = 1;
-      for (int d = 0; d < rank; ++d) total = checked_mul(total, banks);
-      constexpr Count kChunk = 2048;
-      const Count num_chunks = ceil_div(total, kChunk);
-      std::atomic<Count> best{total};
-      std::atomic<Count> tried{0};
-      pool.parallel_for(num_chunks, [&](Count c) {
-        const Count begin = c * kChunk;
-        if (begin >= best.load(std::memory_order_relaxed)) return;
-        const Count end = std::min(total, begin + kChunk);
-        std::vector<Count> alpha(static_cast<size_t>(rank));
-        flat_to_vector(begin, banks, alpha);
-        std::vector<Count> chunk_scratch;
-        Count local_tried = 0;
-        for (Count flat = begin; flat < end; ++flat) {
-          if (flat >= best.load(std::memory_order_relaxed)) break;
-          ++local_tried;
-          if (candidate_conflict_free(pattern, alpha, banks, chunk_scratch)) {
-            Count current = best.load(std::memory_order_relaxed);
-            while (flat < current &&
-                   !best.compare_exchange_weak(current, flat,
-                                               std::memory_order_relaxed)) {
-            }
-            break;
-          }
-          next_vector(alpha, banks);
-        }
-        tried.fetch_add(local_tried, std::memory_order_relaxed);
-      });
-      const Count winner = best.load(std::memory_order_relaxed);
-      out.vectors_tried += tried.load(std::memory_order_relaxed);
-      candidate.arg("N", banks)
-          .arg("vectors_tried", tried.load(std::memory_order_relaxed))
-          .arg("found", Count{winner < total});
-      if (winner < total) {
-        scratch.alpha.resize(static_cast<size_t>(rank));  // mempart-analyze: allow(noalloc) rank-bounded winner buffer in reused scratch; capacity persists across solves
-        flat_to_vector(winner, banks, scratch.alpha);
-        finish_solution(banks, scratch.alpha, scope, span, out);
-        return;
-      }
-    }
-    throw InvalidState(
-        "ltb_solve: no conflict-free transform within max_banks");
-  }
   std::vector<Count>& bank_scratch = scratch.bank_scratch;
   for (Count banks = pattern.size(); banks <= options.max_banks; ++banks) {
     // One span per candidate N: the N^n alpha enumeration under each makes

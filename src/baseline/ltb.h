@@ -59,15 +59,6 @@ struct LtbOptions {
   /// gets expensive; the paper's benchmarks all resolve within m + a few).
   Count max_banks = 256;
 
-  /// Worker threads sharding the alpha enumeration. 1 (the default) runs the
-  /// exact sequential scan; 0 resolves to default_thread_count(). The
-  /// threaded search returns the SAME num_banks and transform (the
-  /// first-in-lexicographic-order conflict-free alpha, via an atomic
-  /// minimum over flat vector indices), but vectors_tried and the op tally
-  /// become thread-count-dependent: chunks past the winner are skipped, and
-  /// ops charged on worker threads land in their thread-local counters.
-  Count threads = 1;
-
   /// Prune the enumeration with the conflict-difference bound (see the
   /// header comment). Identical num_banks and transform; vectors_tried
   /// counts only the complete alphas the DFS actually evaluated and the
@@ -77,10 +68,9 @@ struct LtbOptions {
 };
 
 /// Reusable buffers for the pruned enumeration: the grouped difference
-/// vectors, the DFS alpha state, and the per-shard alpha slices of the
-/// threaded search. Batch drivers (bench_solver, the serve cold path's
-/// LTB A/B) own one per worker and pass it in, so warm solves allocate
-/// nothing — the mirror of the Partitioner's BankSearchScratch.
+/// vectors and the DFS alpha state. Batch drivers (bench_solver's LTB leg)
+/// own one and pass it in, so warm solves allocate nothing — the mirror of
+/// the Partitioner's BankSearchScratch.
 struct LtbScratch {
   std::vector<Count> pair_coords;   ///< raw pairwise diffs, rank coords each
   std::vector<Count> order;         ///< sort permutation for dedup
@@ -88,7 +78,6 @@ struct LtbScratch {
   std::vector<Count> group_begin;   ///< rank+1 offsets into grouped (rows)
   std::vector<Count> group_cursor;  ///< counting-sort write cursors
   std::vector<Count> alpha;         ///< sequential candidate vector
-  std::vector<Count> shard_alpha;   ///< banks*rank: per-top-coordinate slices
   std::vector<Count> bank_scratch;  ///< unpruned justification bank values
 };
 

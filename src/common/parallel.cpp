@@ -8,8 +8,6 @@
 namespace mempart {
 namespace {
 
-std::atomic<Count> g_thread_override{0};
-
 /// 0 = unset; anything set must be a valid positive thread count (garbage
 /// or out-of-range values throw instead of silently running single-threaded).
 Count env_thread_count() {
@@ -19,16 +17,9 @@ Count env_thread_count() {
 }  // namespace
 
 Count default_thread_count() {
-  const Count override_value = g_thread_override.load(std::memory_order_relaxed);
-  if (override_value > 0) return override_value;
   const Count env = env_thread_count();
   if (env > 0) return env;
   return std::max<Count>(1, static_cast<Count>(std::thread::hardware_concurrency()));
-}
-
-void set_default_thread_count(Count n) {
-  MEMPART_REQUIRE(n >= 0, "set_default_thread_count: n must be >= 0");
-  g_thread_override.store(n, std::memory_order_relaxed);
 }
 
 ThreadPool::ThreadPool(Count threads) {
@@ -130,35 +121,6 @@ void ThreadPool::parallel_for_chunked(
     const Count end = begin + base + (c < extra ? 1 : 0);
     fn(begin, end);
   });
-}
-
-void parallel_for(Count n, const std::function<void(Count)>& fn,
-                  Count threads) {
-  const Count resolved = threads == 0 ? default_thread_count() : threads;
-  if (resolved <= 1 || n <= 1) {
-    MEMPART_REQUIRE(n >= 0, "parallel_for: n must be >= 0");
-    for (Count i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(std::min(resolved, n));
-  pool.parallel_for(n, fn);
-}
-
-void parallel_for_chunked(Count n, Count min_grain,
-                          const std::function<void(Count, Count)>& fn,
-                          Count threads) {
-  MEMPART_REQUIRE(n >= 0, "parallel_for_chunked: n must be >= 0");
-  MEMPART_REQUIRE(min_grain >= 1,
-                  "parallel_for_chunked: min_grain must be >= 1");
-  if (n == 0) return;
-  const Count resolved = threads == 0 ? default_thread_count() : threads;
-  // A sweep that fits in one grain never pays for pool construction.
-  if (resolved <= 1 || n <= min_grain) {
-    fn(0, n);
-    return;
-  }
-  ThreadPool pool(std::min(resolved, n / min_grain));
-  pool.parallel_for_chunked(n, min_grain, fn);
 }
 
 }  // namespace mempart

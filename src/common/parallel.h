@@ -1,13 +1,13 @@
 // Fixed-size thread pool and deterministic parallel-for.
 //
-// The bench sweeps (Table 1, the ablations) and the LTB baseline's
-// exhaustive alpha enumeration are embarrassingly parallel: independent
-// work items whose RESULTS must come back in a caller-defined order so the
-// emitted tables and JSON stay byte-identical regardless of thread count.
-// ThreadPool provides that contract: parallel_for(n, fn) runs fn(0..n-1)
-// across the workers plus the calling thread, each result lands in its
-// own index slot, and ordering nondeterminism is confined to side effects
-// the callers avoid. Work is handed out through a single atomic cursor, so
+// The bench sweeps (Table 1, the ablations), `mempart table1` and the
+// batched solver are embarrassingly parallel: independent work items whose
+// RESULTS must come back in a caller-defined order so the emitted tables
+// and JSON stay byte-identical regardless of thread count. ThreadPool
+// provides that contract: parallel_for(n, fn) runs fn(0..n-1) across the
+// workers plus the calling thread, each result lands in its own index
+// slot, and ordering nondeterminism is confined to side effects the
+// callers avoid. Work is handed out through a single atomic cursor, so
 // uneven items (one pattern's LTB search dwarfing another's) self-balance.
 //
 // The pool is deliberately minimal: no futures, no task graph, one batch
@@ -34,9 +34,6 @@ namespace mempart {
 /// (minimum 1).
 [[nodiscard]] Count default_thread_count();
 
-/// Overrides default_thread_count() for the process (0 restores auto).
-void set_default_thread_count(Count n);
-
 /// A fixed set of worker threads executing one parallel_for batch at a time.
 class ThreadPool {
  public:
@@ -54,19 +51,10 @@ class ThreadPool {
 
   /// Runs fn(i) for every i in [0, n) across the pool, blocking until all
   /// complete. Indices are handed out dynamically; result determinism comes
-  /// from writing outputs by index, which map() below does. If any fn
+  /// from writing outputs by index, which map_chunked() below does. If any fn
   /// throws, the first exception is rethrown here after the batch drains
   /// (remaining indices are skipped).
   void parallel_for(Count n, const std::function<void(Count)>& fn);
-
-  /// parallel_for that collects fn(i) into slot i — deterministic output
-  /// order regardless of thread count or scheduling.
-  template <typename T, typename Fn>
-  std::vector<T> map(Count n, Fn&& fn) {
-    std::vector<T> out(static_cast<size_t>(n));
-    parallel_for(n, [&](Count i) { out[static_cast<size_t>(i)] = fn(i); });
-    return out;
-  }
 
   /// Chunked parallel_for: runs fn(begin, end) over contiguous ranges
   /// covering [0, n). Ranges hold at least `min_grain` indices (except
@@ -78,7 +66,8 @@ class ThreadPool {
   void parallel_for_chunked(Count n, Count min_grain,
                             const std::function<void(Count, Count)>& fn);
 
-  /// Chunked map: fn(i) into slot i, scheduled chunk-wise as above.
+  /// Chunked map: fn(i) into slot i, scheduled chunk-wise as above —
+  /// deterministic output order regardless of thread count or scheduling.
   template <typename T, typename Fn>
   std::vector<T> map_chunked(Count n, Count min_grain, Fn&& fn) {
     std::vector<T> out(static_cast<size_t>(n));
@@ -113,16 +102,5 @@ class ThreadPool {
   std::exception_ptr error_ MEMPART_GUARDED_BY(mutex_);
   bool stop_ MEMPART_GUARDED_BY(mutex_) = false;
 };
-
-/// One-shot convenience: runs fn(0..n-1) on `threads` threads (0 = default).
-/// Constructs a transient pool; hot callers should hold a ThreadPool.
-void parallel_for(Count n, const std::function<void(Count)>& fn,
-                  Count threads = 0);
-
-/// One-shot chunked convenience; stays on the calling thread (no pool
-/// construction at all) when the grain leaves a single chunk.
-void parallel_for_chunked(Count n, Count min_grain,
-                          const std::function<void(Count, Count)>& fn,
-                          Count threads = 0);
 
 }  // namespace mempart

@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <exception>
 #include <fstream>
 #include <memory>
@@ -107,16 +108,38 @@ class FlightState {
 
   void register_ring(std::shared_ptr<ThreadRing> ring) {
     const MutexLock lock(mutex_);
-    rings_.push_back(std::move(ring));
+    live_rings_.push_back(std::move(ring));
   }
 
+  /// Called as a thread exits: moves its ring to the exited list, which
+  /// keeps only the kRetainedExitedFlightRings most recent, so a process
+  /// that keeps starting and ending threads (a pool built per call) holds
+  /// a bounded number of rings. A ring that flight_clear() already dropped
+  /// is not in live_rings_ and is ignored.
+  void retire_ring(const ThreadRing* ring) {
+    const MutexLock lock(mutex_);
+    const auto it =
+        std::find_if(live_rings_.begin(), live_rings_.end(),
+                     [ring](const auto& live) { return live.get() == ring; });
+    if (it == live_rings_.end()) return;
+    exited_rings_.push_back(std::move(*it));
+    live_rings_.erase(it);
+    if (exited_rings_.size() >
+        static_cast<size_t>(kRetainedExitedFlightRings)) {
+      exited_rings_.pop_front();
+    }
+  }
+
+  /// The retained exited rings (oldest first), then the live ones.
   std::vector<std::shared_ptr<ThreadRing>> rings() const {
     const MutexLock lock(mutex_);
     std::vector<std::shared_ptr<ThreadRing>> out;
     const std::uint64_t generation =
         g_generation.load(std::memory_order_relaxed);
-    for (const auto& ring : rings_) {
-      if (ring->generation == generation) out.push_back(ring);
+    for (const auto* list : {&exited_rings_, &live_rings_}) {
+      for (const auto& ring : *list) {
+        if (ring->generation == generation) out.push_back(ring);
+      }
     }
     return out;
   }
@@ -139,7 +162,8 @@ class FlightState {
 
   void clear() {
     const MutexLock lock(mutex_);
-    rings_.clear();
+    live_rings_.clear();
+    exited_rings_.clear();
     names_.clear();
     name_ids_.clear();
   }
@@ -163,7 +187,10 @@ class FlightState {
   FlightState() : epoch_(std::chrono::steady_clock::now()) {}
   const std::chrono::steady_clock::time_point epoch_;
   mutable Mutex mutex_;
-  std::vector<std::shared_ptr<ThreadRing>> rings_ MEMPART_GUARDED_BY(mutex_);
+  std::deque<std::shared_ptr<ThreadRing>> live_rings_
+      MEMPART_GUARDED_BY(mutex_);
+  std::deque<std::shared_ptr<ThreadRing>> exited_rings_
+      MEMPART_GUARDED_BY(mutex_);
   /// id - 1 indexes names_; the map holds its own key copies.
   std::vector<std::string> names_ MEMPART_GUARDED_BY(mutex_);
   NameIdMap name_ids_ MEMPART_GUARDED_BY(mutex_);
@@ -171,8 +198,16 @@ class FlightState {
 };
 
 /// Per-thread cached state, regenerated when flight_clear() bumps the
-/// global generation.
+/// global generation. Its destructor runs at thread exit and hands the
+/// ring back to FlightState.
 struct ThreadCache {
+  ThreadCache() = default;
+  ThreadCache(const ThreadCache&) = delete;
+  ThreadCache& operator=(const ThreadCache&) = delete;
+  ~ThreadCache() {
+    if (ring != nullptr) FlightState::instance().retire_ring(ring.get());
+  }
+
   std::uint64_t generation = 0;
   std::shared_ptr<ThreadRing> ring;
   NameIdMap name_ids;
@@ -182,7 +217,9 @@ ThreadCache& thread_cache() {
   thread_local ThreadCache cache;
   const std::uint64_t generation = g_generation.load(std::memory_order_relaxed);
   if (cache.generation != generation) {
-    cache = ThreadCache{};
+    // flight_clear() already dropped this ring and every interned id.
+    cache.ring.reset();
+    cache.name_ids.clear();
     cache.generation = generation;
   }
   return cache;

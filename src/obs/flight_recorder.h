@@ -7,7 +7,9 @@
 // recorded into unconditionally — no env var, no flag — and dumped as
 // Chrome-trace-compatible JSON from the crash/terminate handlers and the
 // differential-fuzz failure path, so a post-mortem always ships with its
-// last moments of context.
+// last moments of context. A thread's ring outlives the thread only among
+// the few most recently exited ones, so thread churn (a pool built per
+// call) does not grow memory.
 //
 // Cost discipline. Event names are interned once into small integer ids
 // (global table, thread-local cache), so recording is: one relaxed load of
@@ -37,6 +39,10 @@ namespace mempart::obs {
 
 /// Per-thread ring capacity when MEMPART_FLIGHT_CAPACITY is unset.
 inline constexpr Count kDefaultFlightCapacity = 2048;
+
+/// How many exited threads keep their ring for dumps: the most recently
+/// exited ones. Older rings are released.
+inline constexpr Count kRetainedExitedFlightRings = 8;
 
 enum class FlightKind : std::uint8_t {
   kSpanBegin = 0,
@@ -96,8 +102,9 @@ class FlightQuietScope {
   FlightQuietScope& operator=(const FlightQuietScope&) = delete;
 };
 
-/// Decodes every thread's ring, oldest first per thread. Slots being
-/// overwritten mid-read are skipped.
+/// Decodes the ring of every live thread and of the most recently exited
+/// threads, oldest event first per thread. Slots being overwritten
+/// mid-read are skipped.
 [[nodiscard]] std::vector<FlightEvent> flight_events();
 
 /// Renders flight_events() as Chrome trace-event JSON (ph B/E for spans,

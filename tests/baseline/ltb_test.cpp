@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "common/errors.h"
@@ -22,6 +23,11 @@ struct LtbCase {
   const char* name;
   Count expected_banks;
 };
+
+// Print the case as its pattern name. Without this gtest prints the raw
+// bytes, `name`'s address among them, and ASLR makes that address (and so
+// the listed test name) different on every build.
+void PrintTo(const LtbCase& c, std::ostream* os) { *os << c.name; }
 
 class Table1LtbBankNumber : public ::testing::TestWithParam<LtbCase> {};
 
@@ -99,8 +105,7 @@ TEST(LtbSolve, Rank1RowPattern) {
 //
 // The conflict-difference DFS must return bit-for-bit the same solution as
 // the exhaustive lexicographic scan — same minimal N AND same (first in
-// lex order) alpha — on every pattern, sequentially and threaded. The
-// suite name is part of the CI TSan regex (LtbPruned* runs under TSan).
+// lex order) alpha — on every pattern.
 
 TEST(LtbPrunedSolve, MatchesUnprunedOnTable1Patterns) {
   for (const Pattern& p : patterns::table1_patterns()) {
@@ -116,26 +121,10 @@ TEST(LtbPrunedSolve, MatchesUnprunedOnTable1Patterns) {
   }
 }
 
-TEST(LtbPrunedSolve, ThreadedMatchesSequential) {
-  baseline::LtbScratch scratch;
-  for (const Pattern& p : patterns::table1_patterns()) {
-    LtbOptions sequential;
-    sequential.prune = true;
-    LtbOptions threaded = sequential;
-    threaded.threads = 3;
-    const LtbSolution want = ltb_solve(p, sequential, scratch);
-    const LtbSolution got = ltb_solve(p, threaded, scratch);
-    EXPECT_EQ(got.num_banks, want.num_banks) << p.name();
-    EXPECT_EQ(got.transform.alpha(), want.transform.alpha()) << p.name();
-  }
-}
-
 TEST(LtbPrunedSolve, ReportsExhaustionLikeTheUnprunedScan) {
   LtbOptions options;
   options.prune = true;
   options.max_banks = 9;
-  EXPECT_THROW((void)ltb_solve(patterns::gaussian9(), options), InvalidState);
-  options.threads = 2;
   EXPECT_THROW((void)ltb_solve(patterns::gaussian9(), options), InvalidState);
 }
 

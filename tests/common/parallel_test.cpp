@@ -8,9 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/ltb.h"
-#include "pattern/pattern_library.h"
-
 namespace mempart {
 namespace {
 
@@ -22,18 +19,6 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
     hits[static_cast<size_t>(i)].fetch_add(1, std::memory_order_relaxed);
   });
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
-}
-
-TEST(ThreadPool, MapResultsAreThreadCountInvariant) {
-  const Count n = 301;
-  const auto job = [](Count i) { return i * i + 7; };
-  std::vector<Count> expected;
-  for (Count i = 0; i < n; ++i) expected.push_back(job(i));
-  for (const Count threads : {1, 2, 3, 8}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(pool.map<Count>(n, job), expected)
-        << "diverged at " << threads << " threads";
-  }
 }
 
 TEST(ThreadPool, HandlesEmptyAndSingletonBatches) {
@@ -143,60 +128,6 @@ TEST(ThreadPoolChunked, PropagatesExceptions) {
     }
   });
   EXPECT_EQ(sum.load(), 45);
-}
-
-TEST(ParallelForChunked, FreeFunctionSkipsPoolConstructionForTinySweeps) {
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id seen;
-  parallel_for_chunked(4, 16,
-                       [&](Count, Count) { seen = std::this_thread::get_id(); },
-                       /*threads=*/8);
-  EXPECT_EQ(seen, caller);
-
-  std::vector<std::atomic<int>> hits(100);
-  parallel_for_chunked(100, 4,
-                       [&](Count begin, Count end) {
-                         for (Count i = begin; i < end; ++i) {
-                           hits[static_cast<size_t>(i)].fetch_add(
-                               1, std::memory_order_relaxed);
-                         }
-                       },
-                       /*threads=*/3);
-  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
-}
-
-TEST(ParallelFor, FreeFunctionMatchesSequential) {
-  std::vector<Count> out(64, 0);
-  parallel_for(static_cast<Count>(out.size()),
-               [&](Count i) { out[static_cast<size_t>(i)] = 2 * i; },
-               /*threads=*/3);
-  for (Count i = 0; i < static_cast<Count>(out.size()); ++i) {
-    EXPECT_EQ(out[static_cast<size_t>(i)], 2 * i);
-  }
-}
-
-TEST(ParallelFor, DefaultThreadCountOverride) {
-  set_default_thread_count(3);
-  EXPECT_EQ(default_thread_count(), 3);
-  set_default_thread_count(0);
-  EXPECT_GE(default_thread_count(), 1);
-}
-
-TEST(LtbParallel, ThreadedSearchMatchesSequentialSolution) {
-  const std::vector<Pattern> cases = {patterns::box2d(2), patterns::cross2d(2),
-                                      patterns::prewitt3x3()};
-  for (const Pattern& pattern : cases) {
-    baseline::LtbOptions sequential;
-    const auto expected = baseline::ltb_solve(pattern, sequential);
-    for (const Count threads : {2, 4}) {
-      baseline::LtbOptions sharded;
-      sharded.threads = threads;
-      const auto got = baseline::ltb_solve(pattern, sharded);
-      EXPECT_EQ(got.num_banks, expected.num_banks);
-      EXPECT_EQ(got.transform, expected.transform)
-          << pattern.name() << " at " << threads << " threads";
-    }
-  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/errors.h"
 #include "core/linear_transform.h"
 #include "pattern/pattern_library.h"
@@ -28,6 +30,11 @@ struct BankCase {
   const char* name;
   Count expected_banks;
 };
+
+// Print the case as its pattern name. Without this gtest prints the raw
+// bytes, `name`'s address among them, and ASLR makes that address (and so
+// the listed test name) different on every build.
+void PrintTo(const BankCase& c, std::ostream* os) { *os << c.name; }
 
 class Table1BankNumber : public ::testing::TestWithParam<BankCase> {};
 

@@ -12,6 +12,7 @@
 #include "core/partitioner.h"
 #include "pattern/pattern_library.h"
 #include "support/alloc_counter.h"
+#include "support/solve_corpus.h"
 
 namespace mempart {
 namespace {
@@ -106,25 +107,20 @@ TEST(SolveCache, HashKeyIsDeterministicAndKeySensitive) {
 }
 
 TEST(SolveCache, CachedSolveMatchesDirectSolve) {
-  SolveCache cache(64);
+  const std::vector<PartitionRequest> corpus = testsupport::solver_corpus();
+  SolveCache cache(256);
   Partitioner cached(&cache);
-  for (const Pattern& pattern : patterns::table1_patterns()) {
-    PartitionRequest request;
-    request.pattern = pattern;
+  for (const PartitionRequest& request : corpus) {
+    const std::string where = testsupport::describe(request);
     const PartitionSolution direct = Partitioner::solve(request);
     const PartitionSolution miss = cached.solve_cached(request);
     const PartitionSolution hit = cached.solve_cached(request);
-    for (const PartitionSolution* got : {&miss, &hit}) {
-      EXPECT_EQ(got->transform.alpha(), direct.transform.alpha());
-      EXPECT_EQ(got->num_banks(), direct.num_banks());
-      EXPECT_EQ(got->delta_ii(), direct.delta_ii());
-      EXPECT_EQ(got->transformed, direct.transformed);
-      EXPECT_EQ(got->pattern_banks, direct.pattern_banks);
-    }
+    testsupport::expect_same_solution(miss, direct, where + " (miss)");
+    testsupport::expect_same_solution(hit, direct, where + " (hit)");
     // A hit skips Algorithm 1, so it honestly reports fewer ops.
-    EXPECT_LT(hit.ops.arithmetic(), direct.ops.arithmetic()) << pattern.name();
+    EXPECT_LT(hit.ops.arithmetic(), direct.ops.arithmetic()) << where;
   }
-  EXPECT_GE(cache.stats().hits, 7);
+  EXPECT_GE(cache.stats().hits, static_cast<std::int64_t>(corpus.size()));
 }
 
 TEST(SolveCache, WarmShapelessSolveIntoAllocatesNothing) {

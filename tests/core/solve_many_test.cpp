@@ -15,6 +15,7 @@
 #include "core/partitioner.h"
 #include "pattern/canonical.h"
 #include "pattern/pattern_library.h"
+#include "support/solve_corpus.h"
 
 namespace mempart {
 namespace {
@@ -137,15 +138,15 @@ TEST(SolveMany, OracleConfirmsDeltaOnMappedVariants) {
 TEST(SolveMany, ResultsComeBackInInputOrderAtEveryThreadCount) {
   std::mt19937 rng(99);
   std::vector<PartitionRequest> batch;
-  for (const Pattern& base : patterns::table1_patterns()) {
-    for (const Pattern& variant : random_variants(base, rng, 3)) {
-      PartitionRequest request;
+  for (const PartitionRequest& base : testsupport::solver_corpus()) {
+    for (const Pattern& variant : random_variants(*base.pattern, rng, 3)) {
+      PartitionRequest request = base;
       request.pattern = variant;
-      request.max_banks = batch.size() % 3 == 0 ? 8 : 0;
       batch.push_back(std::move(request));
     }
   }
-  SolveCache cache(256);
+  std::shuffle(batch.begin(), batch.end(), rng);
+  SolveCache cache(1024);
   Partitioner cached(&cache);
   BatchOptions base_options;
   base_options.threads = 1;
@@ -162,11 +163,12 @@ TEST(SolveMany, ResultsComeBackInInputOrderAtEveryThreadCount) {
           cached.solve_many(batch, options);
       ASSERT_EQ(got.size(), expected.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].transform.alpha(), expected[i].transform.alpha());
-        EXPECT_EQ(got[i].num_banks(), expected[i].num_banks());
-        EXPECT_EQ(got[i].delta_ii(), expected[i].delta_ii());
-        EXPECT_EQ(got[i].transformed, expected[i].transformed);
-        EXPECT_EQ(got[i].pattern_banks, expected[i].pattern_banks);
+        testsupport::expect_same_solution(
+            got[i], expected[i],
+            "request " + std::to_string(i) + " (" +
+                testsupport::describe(batch[i]) + ") at " +
+                std::to_string(threads) + " threads, grain " +
+                std::to_string(min_grain));
       }
     }
   }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <ostream>
 #include <stdexcept>
 
 #include "baseline/ltb.h"
@@ -29,6 +30,11 @@ struct OverheadRow {
   std::array<Count, 5> ltb;
   bool ltb_cells_reproducible;  ///< false for Sobel3D (DESIGN.md §2)
 };
+
+// Print the row as its pattern name. Without this gtest prints the raw
+// bytes, `pattern`'s address among them, and ASLR makes that address (and
+// so the listed test name) different on every build.
+void PrintTo(const OverheadRow& row, std::ostream* os) { *os << row.pattern; }
 
 // Values copied from Table 1 of the paper.
 const OverheadRow kRows[] = {

@@ -5,6 +5,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -166,6 +167,28 @@ TEST_F(FlightRecorderTest, EachThreadGetsItsOwnRing) {
   // Each thread overflowed its own 4-slot ring: 3 * 4 survivors.
   const std::vector<FlightEvent> events = flight_events();
   EXPECT_EQ(events.size(), 12u);
+}
+
+// Thread churn must not grow the recorder: only the most recently exited
+// threads keep their rings, beside every live thread's.
+TEST_F(FlightRecorderTest, ExitedThreadRingsAreBounded) {
+  set_flight_capacity(4);
+  flight_note("live.thread", -1);
+  constexpr int kThreads = 200;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([t] { flight_note("short.lived", t); }).join();
+  }
+  std::set<int> thread_ids;
+  std::set<std::int64_t> values;
+  for (const FlightEvent& event : flight_events()) {
+    thread_ids.insert(event.thread_id);
+    values.insert(event.value);
+  }
+  EXPECT_LE(static_cast<Count>(thread_ids.size()),
+            kRetainedExitedFlightRings + 1);
+  EXPECT_EQ(values.count(-1), 1u);           // the live thread's ring
+  EXPECT_EQ(values.count(kThreads - 1), 1u);  // the last thread to exit
+  EXPECT_EQ(values.count(0), 0u);            // long since released
 }
 
 // Writers race a dumper; under TSan this pins the seqlock protocol (the

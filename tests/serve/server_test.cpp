@@ -8,12 +8,14 @@
 
 #include <chrono>
 #include <cstring>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/solve_cache.h"
+#include "pattern/pattern_library.h"
 #include "serve/request.h"
 
 namespace mempart::serve {
@@ -202,6 +204,103 @@ TEST(ServeServer, SocketModeServesConnectionsIndependently) {
   EXPECT_TRUE(summary.drained);
   EXPECT_EQ(summary.connections, 2);
   EXPECT_EQ(summary.solved, 2);
+}
+
+/// One request line: four in five are translations of the LoG stencil (one
+/// cache class), every fifth a distinct pattern that misses the cache.
+std::string saturation_line(const std::string& id, int seq) {
+  std::vector<NdIndex> offsets;
+  if (seq % 5 == 4) {
+    offsets = {{0, 0}, {0, 1}, {1, 0}, {1, 1},
+               {3 + seq % 61, 3 + (seq * 7) % 53}};
+  } else {
+    offsets = patterns::log5x5().offsets();
+    for (NdIndex& offset : offsets) {
+      for (Coord& c : offset) c += seq % 4;
+    }
+  }
+  std::string line = "{\"id\": \"" + id + "\", \"offsets\": [";
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    line += (i == 0 ? "[" : ", [") + std::to_string(offsets[i][0]) + ", " +
+            std::to_string(offsets[i][1]) + "]";
+  }
+  return line + "], \"shape\": [128, 128]}";
+}
+
+/// The id of request `seq` on connection `connection`.
+std::string flood_id(int connection, int seq) {
+  std::string id = "c";
+  id += std::to_string(connection);
+  id += '-';
+  id += std::to_string(seq);
+  return id;
+}
+
+/// The id a response line carries, or "" when it has none.
+std::string response_id(const std::string& line) {
+  const std::string key = "\"id\": \"";
+  const std::size_t at = line.find(key);
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + key.size();
+  return line.substr(begin, line.find('"', begin) - begin);
+}
+
+// Several connections flood a one-worker server whose queue holds one job:
+// admission control must shed some requests, and every request — admitted
+// or shed — still gets exactly one response carrying its id.
+TEST(ServeServer, SocketModeShedsUnderSaturationAndAnswersEveryRequest) {
+  constexpr int kConnections = 4;
+  constexpr int kPerConnection = 100;
+  const std::string path = test_socket_path("flood");
+  ServeOptions options;
+  options.socket_path = path;
+  options.threads = 1;
+  options.queue_depth = 1;
+  options.max_batch = 1;
+  SolveCache cache(64);
+  options.cache = &cache;
+  Server server(options);
+  std::thread server_thread([&server] { (void)server.run_socket(); });
+  wait_for_socket(path);
+
+  std::vector<std::vector<std::string>> responses(kConnections);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&path, &responses, c] {
+      SocketClient client(path);
+      ASSERT_TRUE(client.connected());
+      for (int seq = 0; seq < kPerConnection; ++seq) {
+        client.send_line(saturation_line(flood_id(c, seq), seq));
+      }
+      responses[static_cast<std::size_t>(c)] =
+          client.read_lines(kPerConnection);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  server.request_shutdown();
+  server_thread.join();
+
+  std::int64_t shed_lines = 0;
+  for (int c = 0; c < kConnections; ++c) {
+    const std::vector<std::string>& lines =
+        responses[static_cast<std::size_t>(c)];
+    EXPECT_EQ(static_cast<int>(lines.size()), kPerConnection);
+    std::multiset<std::string> ids;
+    for (const std::string& line : lines) {
+      ids.insert(response_id(line));
+      if (line.find("\"shed\": true") != std::string::npos) ++shed_lines;
+    }
+    for (int seq = 0; seq < kPerConnection; ++seq) {
+      EXPECT_EQ(ids.count(flood_id(c, seq)), 1u)
+          << "connection " << c << " request " << seq;
+    }
+  }
+  const ServeSummary summary = server.summary();
+  EXPECT_EQ(summary.admitted + summary.shed, kConnections * kPerConnection);
+  EXPECT_GT(summary.shed, 0);
+  EXPECT_EQ(summary.shed, shed_lines);
+  EXPECT_EQ(summary.solved, summary.admitted);
+  EXPECT_EQ(summary.failed, 0);
 }
 
 // The drain contract the CLI's SIGTERM handler relies on (the handler just

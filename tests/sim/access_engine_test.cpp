@@ -4,6 +4,7 @@
 
 #include "common/errors.h"
 #include "core/partitioner.h"
+#include "loopnest/stencil_program.h"
 #include "pattern/pattern_library.h"
 
 namespace mempart::sim {
@@ -83,6 +84,38 @@ TEST(AccessEngine, RejectsEmptyGroupAndBadPorts) {
   AccessEngine engine(map);
   EXPECT_THROW((void)engine.issue({}), InvalidArgument);
   EXPECT_THROW((void)AccessEngine(map, 0), InvalidArgument);
+}
+
+// Position invariance (§4.3.2): under the solver's mapping every iteration
+// of the LoG loop nest costs exactly delta_P + 1 cycles, wherever the
+// window lands. Returns how many iterations cost anything else.
+Count log_iterations_not_costing(Count cycles, const NdShape& shape,
+                                 Count max_banks) {
+  PartitionRequest request;
+  request.pattern = patterns::log5x5();
+  request.array_shape = shape;
+  request.max_banks = max_banks;
+  PartitionSolution solution = Partitioner::solve(request);
+  EXPECT_EQ(solution.delta_ii() + 1, cycles);
+  const CoreAddressMap map(std::move(*solution.mapping));
+  AccessEngine engine(map);
+  const loopnest::StencilProgram program(shape, patterns::log5x5(), "LoG");
+  Count off = 0;
+  program.loop_nest().for_each([&](const NdIndex& iv) {
+    if (engine.issue(program.reads_at(iv)) != cycles) ++off;
+  });
+  EXPECT_EQ(engine.stats().iterations,
+            program.loop_nest().total_iterations());
+  EXPECT_GT(engine.stats().iterations, 0);
+  return off;
+}
+
+TEST(AccessEngine, EveryLogIterationTakesOneCycleUnconstrained) {
+  EXPECT_EQ(log_iterations_not_costing(1, NdShape({14, 16}), 0), 0);
+}
+
+TEST(AccessEngine, EveryLogIterationTakesTwoCyclesUnderABankCap) {
+  EXPECT_EQ(log_iterations_not_costing(2, NdShape({14, 26}), 10), 0);
 }
 
 TEST(AccessStats, EmptyStatsAreZero) {

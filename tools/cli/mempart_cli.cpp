@@ -766,8 +766,8 @@ int cmd_table1(const std::vector<std::string>& argv) {
   ArgParser args("mempart table1",
                  "Compare ours vs the LTB baseline on the paper's benchmarks.");
   args.add_int("threads", 1,
-               "worker threads sharding the per-pattern solves and the LTB "
-               "alpha enumeration (0 = auto); output order is fixed");
+               "worker threads sharding the per-pattern solves (0 = auto); "
+               "output order is fixed");
   add_obs_flags(args);
   args.parse(argv);
   if (args.help_requested()) {
@@ -790,9 +790,7 @@ int cmd_table1(const std::vector<std::string>& argv) {
         PartitionRequest req;
         req.pattern = p;
         const PartitionSolution ours = Partitioner::solve(req);
-        baseline::LtbOptions ltb_options;
-        ltb_options.threads = 1;  // the pool already shards across patterns
-        const baseline::LtbSolution ltb = baseline::ltb_solve(p, ltb_options);
+        const baseline::LtbSolution ltb = baseline::ltb_solve(p);
         std::ostringstream line;
         line << p.name() << ": ours " << ours.num_banks() << " banks / "
              << ours.ops.arithmetic() << " ops, LTB " << ltb.num_banks
