@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "common/errors.h"
@@ -27,14 +27,15 @@ namespace {
 //   [3] permutation allowed (the identity-forced fallback must not collide
 //       with the permuted class)
 //   [4] rank  [5] m  [6..6+n) canonical extents  [6+n..) sorted z values
-// Alloc fence: the key buffer is caller-owned and reserve() is amortized —
-// warm solves reuse its capacity (pinned by the zero-alloc cache test).
-MEMPART_ALLOC_BOUNDARY void build_key(const PartitionRequest& request,
-                                      const Canonicalizer::View& view,
-                                      bool allow_permutation,
-                                      std::vector<std::int64_t>& key) {
-  key.clear();
-  key.reserve(6 + view.extents.size() + view.sorted_values.size());
+constexpr size_t kKeyHeader = 6;
+
+// Appends the key to `key`. Alloc fence: the buffer is caller-owned and
+// grows geometrically — warm solves reuse its capacity (pinned by the
+// zero-alloc cache test).
+MEMPART_ALLOC_BOUNDARY void append_key(const PartitionRequest& request,
+                                       const Canonicalizer::View& view,
+                                       bool allow_permutation,
+                                       std::vector<std::int64_t>& key) {
   key.push_back(request.max_banks);
   key.push_back(request.bank_bandwidth);
   key.push_back(static_cast<std::int64_t>(request.strategy));
@@ -43,6 +44,11 @@ MEMPART_ALLOC_BOUNDARY void build_key(const PartitionRequest& request,
   key.push_back(static_cast<std::int64_t>(view.values.size()));
   key.insert(key.end(), view.extents.begin(), view.extents.end());
   key.insert(key.end(), view.sorted_values.begin(), view.sorted_values.end());
+}
+
+// The sorted z values a key ends with: the canonical solve's input.
+std::span<const Address> sorted_values_of(std::span<const std::int64_t> key) {
+  return key.subspan(kKeyHeader + static_cast<size_t>(key[4]));
 }
 
 // Mirror of the BankMapping constructor's innermost-remap injectivity
@@ -131,6 +137,87 @@ void validate(const PartitionRequest& request) {
   }
 }
 
+// Probes `cache` for `key` and solves the class from `sorted_z` on a miss —
+// single-flight, so concurrent callers with one cold key share one solve.
+// Without a cache it always solves (and `key` is unused). `hit` reports an
+// entry that was already resident.
+std::shared_ptr<const CachedSolve> find_or_solve_core(
+    SolveCache* cache, std::span<const std::int64_t> key,
+    const PartitionRequest& request, std::span<const Address> sorted_z,
+    BankSearchScratch& scratch, bool& hit) {
+  const auto solve = [&] {
+    obs::LatencyTimer core_timer("partitioner.solve_core.ns");
+    return solve_core(request, sorted_z, scratch);
+  };
+  hit = false;
+  if (cache == nullptr) return solve();
+  // Probe latency is split by outcome so a p99 regression in either the
+  // sharded-map walk (miss) or the entry copy-out (hit) shows up alone.
+  const bool timed = obs::metrics_enabled();
+  const auto probe_start = timed ? std::chrono::steady_clock::now()
+                                 : std::chrono::steady_clock::time_point();
+  const auto probe_ns = [&] {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - probe_start)
+        .count();
+  };
+  std::shared_ptr<const CachedSolve> core = cache->find_or_solve(
+      key,
+      [&] {
+        if (timed) obs::record_latency("cache.find.miss.ns", probe_ns());
+        return solve();
+      },
+      &hit);
+  if (timed && hit) obs::record_latency("cache.find.hit.ns", probe_ns());
+  return core;
+}
+
+// A shaped request with a permuted alpha must satisfy the BankMapping
+// injectivity precondition; otherwise it is solved again on the identity
+// canonical form (strictly fewer cache sharing opportunities, same
+// guarantees as the pre-cache solver).
+bool needs_identity_order(const PartitionRequest& request, bool identity_perm,
+                          std::span<const Count> alpha,
+                          const CachedSolve& core) {
+  const bool folds = core.constraint.fold_factor > 1;
+  return request.array_shape.has_value() && !identity_perm &&
+         !remap_injective(*request.array_shape, alpha.back(),
+                          core.constraint.num_banks,
+                          folds ? core.search.num_banks : 0, request.tail);
+}
+
+// Rehydrates the per-request solution around the canonical core; `out`
+// already holds the request's transform (alpha) and transformed (z)
+// values. Every assignment reuses `out`'s existing buffer capacity, so a
+// warm hit allocates nothing. Charges no arithmetic.
+void rehydrate(const PartitionRequest& request, const CachedSolve& core,
+               PartitionSolution& out) {
+  out.search = core.search;
+  out.constraint = core.constraint;
+  out.bank_bandwidth = request.bank_bandwidth;
+
+  // Final per-offset bank indices, through the fold when one is active.
+  const bool folds = core.constraint.fold_factor > 1;
+  const Count modulus =
+      folds ? core.search.num_banks : core.constraint.num_banks;
+  out.pattern_banks.resize(out.transformed.size());  // mempart-analyze: allow(noalloc) caller-owned output buffer; warm solve_into reuses its capacity (pinned by the zero-alloc cache test)
+  for (size_t i = 0; i < out.transformed.size(); ++i) {
+    Count bank = euclid_mod(out.transformed[i], modulus);
+    if (folds) bank = euclid_mod(bank, core.constraint.num_banks);
+    out.pattern_banks[i] = bank;
+  }
+
+  out.mapping.reset();
+  if (request.array_shape.has_value()) {
+    obs::Span stage("partitioner.mapping");
+    BankMapping::Options options;
+    options.num_banks = out.constraint.num_banks;
+    options.fold_modulus = folds ? out.search.num_banks : 0;
+    options.tail = request.tail;
+    out.mapping.emplace(*request.array_shape, out.transform, options);  // mempart-analyze: allow(noalloc) mapping stage runs only for shaped requests; the warm unshaped path never reaches it
+  }
+}
+
 }  // namespace
 
 Count PartitionSolution::access_cycles() const {
@@ -186,76 +273,24 @@ void Partitioner::solve_impl(const PartitionRequest& request,
       view = canon.run(pattern, allow_permutation);
     }
 
-    std::shared_ptr<const CachedSolve> core;
     if (cache != nullptr) {
-      build_key(request, view, allow_permutation, key);
-      // Probe latency is split by outcome so a p99 regression in either the
-      // sharded-map walk (miss) or the entry copy-out (hit) shows up alone.
-      const bool timed = obs::metrics_enabled();
-      const auto probe_start = timed ? std::chrono::steady_clock::now()
-                                     : std::chrono::steady_clock::time_point();
-      core = cache->find(key);
-      if (timed) {
-        const auto probe_ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - probe_start)
-                .count();
-        obs::record_latency(
-            core != nullptr ? "cache.find.hit.ns" : "cache.find.miss.ns",
-            probe_ns);
-      }
+      key.clear();
+      append_key(request, view, allow_permutation, key);
     }
-    const bool hit = core != nullptr;
-    if (!hit) {
-      obs::LatencyTimer core_timer("partitioner.solve_core.ns");
-      core = solve_core(request, view.sorted_values, scratch);
-      if (cache != nullptr) {
-        cache->insert(key, core);
-      }
-    }
+    bool hit = false;
+    const std::shared_ptr<const CachedSolve> core = find_or_solve_core(
+        cache, key, request, view.sorted_values, scratch, hit);
 
-    // A shaped request with a permuted alpha must satisfy the BankMapping
-    // injectivity precondition; otherwise retry on the identity canonical
-    // form (strictly fewer cache sharing opportunities, same guarantees as
-    // the pre-cache solver).
-    const bool folds = core->constraint.fold_factor > 1;
-    if (request.array_shape.has_value() && !view.identity_perm &&
-        !remap_injective(*request.array_shape, view.alpha.back(),
-                         core->constraint.num_banks,
-                         folds ? core->search.num_banks : 0, request.tail)) {
+    if (needs_identity_order(request, view.identity_perm, view.alpha,
+                             *core)) {
       allow_permutation = false;
       obs::count("partitioner.identity_fallbacks");
       continue;
     }
 
-    // Rehydrate the per-request solution around the canonical core. Every
-    // assignment reuses `out`'s existing buffer capacity, so a warm hit
-    // allocates nothing.
     out.transform.assign(view.alpha);
-    out.search = core->search;
-    out.constraint = core->constraint;
     out.transformed.assign(view.values.begin(), view.values.end());
-    out.bank_bandwidth = request.bank_bandwidth;
-
-    // Final per-offset bank indices, through the fold when one is active.
-    const Count modulus =
-        folds ? core->search.num_banks : core->constraint.num_banks;
-    out.pattern_banks.resize(view.values.size());  // mempart-analyze: allow(noalloc) caller-owned output buffer; warm solve_into reuses its capacity (pinned by the zero-alloc cache test)
-    for (size_t i = 0; i < view.values.size(); ++i) {
-      Count bank = euclid_mod(view.values[i], modulus);
-      if (folds) bank = euclid_mod(bank, core->constraint.num_banks);
-      out.pattern_banks[i] = bank;
-    }
-
-    out.mapping.reset();
-    if (request.array_shape.has_value()) {
-      obs::Span stage("partitioner.mapping");
-      BankMapping::Options options;
-      options.num_banks = out.constraint.num_banks;
-      options.fold_modulus = folds ? out.search.num_banks : 0;
-      options.tail = request.tail;
-      out.mapping.emplace(*request.array_shape, out.transform, options);  // mempart-analyze: allow(noalloc) mapping stage runs only for shaped requests; the warm unshaped path never reaches it
-    }
+    rehydrate(request, *core, out);
 
     out.ops = scope.tally();
     span.arg("banks", out.num_banks()).arg("delta_ii", out.delta_ii());
@@ -288,6 +323,41 @@ void Partitioner::solve_into(const PartitionRequest& request,
   solve_impl(request, cache_, canon_, search_scratch_, key_, out);
 }
 
+void Partitioner::solve_classes(std::span<const PartitionRequest> requests,
+                                ThreadPool& pool, Count min_grain,
+                                size_t round_begin) {
+  const Count count = static_cast<Count>(classes_.size() - round_begin);
+  if (count == 0) return;
+  pool.parallel_for_chunked(count, min_grain, [&](Count begin, Count end) {
+    // Worker-thread chunks get their own span + latency sample, so a trace
+    // shows per-chunk occupancy and the histogram shows chunk skew (p50 vs
+    // p99 chunk time) across the pool.
+    obs::Span chunk_span("partitioner.solve_many.prime");
+    chunk_span.arg("begin", begin).arg("end", end);
+    obs::LatencyTimer chunk_timer("partitioner.solve_many.chunk.ns");
+    const obs::FlightQuietScope quiet;
+    // One executor runs every chunk on this thread, in turn, so it can
+    // reuse the instance's warm scratch.
+    BankSearchScratch chunk_scratch;
+    BankSearchScratch& scratch =
+        pool.size() == 1 ? search_scratch_ : chunk_scratch;
+    for (Count c = begin; c < end; ++c) {
+      BatchClass& cls = classes_[round_begin + static_cast<size_t>(c)];
+      const std::span<const std::int64_t> key(
+          key_arena_.data() + cls.key_offset, cls.key_size);
+      try {
+        const OpScope scope;
+        cls.core = find_or_solve_core(
+            cache_, key, requests[static_cast<size_t>(cls.first)],
+            sorted_values_of(key), scratch, cls.hit);
+        cls.solve_ops = scope.tally();
+      } catch (const Error& error) {
+        cls.error = error.what();
+      }
+    }
+  });
+}
+
 std::vector<BatchResult> Partitioner::solve_many_collect(
     std::span<const PartitionRequest> requests, const BatchOptions& options) {
   MEMPART_REQUIRE(options.min_grain >= 1,
@@ -300,104 +370,190 @@ std::vector<BatchResult> Partitioner::solve_many_collect(
   span.arg("requests", n);
   obs::LatencyTimer timer("partitioner.solve_many.ns");
 
-  // Phase 1 (sequential): canonicalize every request and deduplicate by
-  // cache key. Requests the canonicalizer itself rejects (malformed, or
-  // overflowing the 64-bit weight space) take their error slot here.
-  struct KeyHash {
-    size_t operator()(const std::vector<std::int64_t>& key) const noexcept {
-      return static_cast<size_t>(SolveCache::hash_key(key));
-    }
-  };
-  std::unordered_map<std::vector<std::int64_t>, Count, KeyHash> classes;
-  std::vector<Count> representatives;  // first request index per class
-  std::vector<std::int64_t> key;
-  {
-    obs::Span stage("partitioner.solve_many.canonicalize");
-    obs::LatencyTimer stage_timer("partitioner.solve_many.canonicalize.ns");
-    for (Count i = 0; i < n; ++i) {
-      const PartitionRequest& request = requests[static_cast<size_t>(i)];
-      try {
-        validate(request);
-        const Canonicalizer::View view = canon_.run(request.pattern.value());
-        build_key(request, view, /*allow_permutation=*/true, key);
-        const auto [it, inserted] = classes.try_emplace(
-            key, static_cast<Count>(representatives.size()));
-        if (inserted) representatives.push_back(i);
-        // Classify before phase 2 warms the cache: a peek now says whether
-        // this request rides an existing entry or waits on a cold solve.
-        results[static_cast<size_t>(i)].cache_hit =
-            cache_ != nullptr && cache_->contains(key);
-      } catch (const Error& error) {
-        results[static_cast<size_t>(i)].error = error.what();
-      }
-    }
-    stage.arg("classes", static_cast<Count>(representatives.size()));
-  }
-  span.arg("classes", static_cast<Count>(representatives.size()));
-
   const Count threads =
       options.threads == 0 ? default_thread_count() : options.threads;
   ThreadPool pool(threads);
 
-  // Phase 2: solve each distinct canonical class once, fanned out in
-  // chunks. This populates the cache (when bound), so phase 3 is all hits;
-  // without a cache it simply warms nothing and phase 3 re-solves.
-  if (cache_ != nullptr && representatives.size() > 1) {
+  key_arena_.clear();
+  classes_.clear();
+  members_.assign(requests.size(), BatchMember{});
+  // Each round's class index: a power of two at least twice its requests,
+  // probed linearly.
+  size_t round_begin = 0;
+  const auto open_round = [&](size_t requests_in_round) {
+    round_begin = classes_.size();
+    size_t slots = 16;
+    while (slots < 2 * requests_in_round) slots *= 2;
+    class_slots_.assign(slots, -1);
+  };
+  // Appends request `i`'s key to the arena and returns the index of its
+  // class, opening a new class when no class of this round has that key.
+  const auto join_class = [&](const PartitionRequest& request,
+                              const Canonicalizer::View& view,
+                              bool allow_permutation, Count i) -> Count {
+    const size_t offset = key_arena_.size();
+    append_key(request, view, allow_permutation, key_arena_);
+    const std::span<const std::int64_t> key(key_arena_.data() + offset,
+                                            key_arena_.size() - offset);
+    const std::uint64_t hash = SolveCache::hash_key(key);
+    const size_t mask = class_slots_.size() - 1;
+    for (size_t slot = static_cast<size_t>(hash) & mask;;
+         slot = (slot + 1) & mask) {
+      const std::int32_t index = class_slots_[slot];
+      if (index < 0) {
+        class_slots_[slot] = static_cast<std::int32_t>(classes_.size());
+        BatchClass& fresh = classes_.emplace_back();
+        fresh.key_offset = offset;
+        fresh.key_size = key.size();
+        fresh.hash = hash;
+        fresh.first = i;
+        return static_cast<Count>(classes_.size() - 1);
+      }
+      const BatchClass& known = classes_[static_cast<size_t>(index)];
+      if (known.hash == hash && known.key_size == key.size() &&
+          std::equal(key.begin(), key.end(),
+                     key_arena_.begin() +
+                         static_cast<std::ptrdiff_t>(known.key_offset))) {
+        key_arena_.resize(offset);  // a duplicate keeps no copy of its key
+        return index;
+      }
+    }
+  };
+
+  // Canonicalizes requests `indices` (sequentially, on the instance's
+  // canonicalizer), writes each one's alpha and z values straight into its
+  // result, and joins each to its class of this round. A request the
+  // canonicalizer rejects (malformed, or overflowing the 64-bit weight
+  // space) takes its error slot here.
+  const auto canonicalize_all = [&](std::span<const Count> indices,
+                                    bool allow_permutation) {
+    obs::Span stage("partitioner.solve_many.canonicalize");
+    if (!allow_permutation) stage.arg("round", "identity");
+    obs::LatencyTimer stage_timer("partitioner.solve_many.canonicalize.ns");
+    open_round(indices.size());
+    for (const Count i : indices) {
+      const PartitionRequest& request = requests[static_cast<size_t>(i)];
+      BatchResult& slot = results[static_cast<size_t>(i)];
+      BatchMember& member = members_[static_cast<size_t>(i)];
+      try {
+        validate(request);
+        const OpScope scope;
+        const Canonicalizer::View view =
+            canon_.run(*request.pattern, allow_permutation);
+        PartitionSolution& out =
+            slot.solution ? *slot.solution : slot.solution.emplace();
+        out.transform.assign(view.alpha);
+        out.transformed.assign(view.values.begin(), view.values.end());
+        member.ops += scope.tally();
+        const Count cls = join_class(request, view, allow_permutation, i);
+        if (allow_permutation) {
+          member.permuted_class = cls;
+          member.identity_perm = view.identity_perm;
+          continue;
+        }
+        member.identity_class = cls;
+        // The warm-up reached this class if it solved some class's first
+        // request, and that request fell back to this identity class.
+        const BatchClass& permuted =
+            classes_[static_cast<size_t>(member.permuted_class)];
+        if (permuted.first == i && permuted.warmed) {
+          classes_[static_cast<size_t>(cls)].warmed = true;
+        }
+      } catch (const Error& error) {
+        slot.solution.reset();
+        slot.error = error.what();
+      }
+    }
+    stage.arg("classes", static_cast<Count>(classes_.size() - round_begin));
+  };
+
+  // The solve arithmetic request `i` is charged for `cls` (see solve_many).
+  const auto charged = [&](const BatchClass& cls, Count i) {
+    return cache_ == nullptr || (!cls.warmed && cls.first == i)
+               ? cls.solve_ops
+               : OpTally{};
+  };
+  // Rehydrates request `i` from its class of this round. In the permuted
+  // round, a request whose alpha fails the mapping precondition is only
+  // marked for the identity round.
+  const auto rehydrate_member = [&](Count i, bool identity_round) {
+    BatchResult& slot = results[static_cast<size_t>(i)];
+    BatchMember& member = members_[static_cast<size_t>(i)];
+    const PartitionRequest& request = requests[static_cast<size_t>(i)];
+    const BatchClass& cls = classes_[static_cast<size_t>(
+        identity_round ? member.identity_class : member.permuted_class)];
+    if (!cls.error.empty()) {
+      slot.solution.reset();
+      slot.error = cls.error;
+      return;
+    }
+    PartitionSolution& out = *slot.solution;
+    if (!identity_round &&
+        needs_identity_order(request, member.identity_perm,
+                             out.transform.alpha(), *cls.core)) {
+      member.retry = true;
+      return;
+    }
+    try {
+      rehydrate(request, *cls.core, out);
+    } catch (const Error& error) {
+      slot.solution.reset();
+      slot.error = error.what();
+      return;
+    }
+    const BatchClass& permuted =
+        classes_[static_cast<size_t>(member.permuted_class)];
+    out.ops = member.ops;
+    out.ops += charged(permuted, i);
+    if (identity_round) out.ops += charged(cls, i);
+    slot.cache_hit = permuted.hit && cls.hit;
+    obs::record_op_tally(out.ops);
+    obs::count("partitioner.solves");
+  };
+  // One class round over requests `pending`: canonicalize, probe or solve
+  // each class once, rehydrate the requests that canonicalized.
+  std::vector<Count> pending;
+  const auto run_round = [&](bool identity_round) {
+    canonicalize_all(pending, /*allow_permutation=*/!identity_round);
+    if (!identity_round) {
+      // The reference run's warm-up solves each class's first request when
+      // there is more than one class (see solve_many).
+      for (BatchClass& cls : classes_) cls.warmed = classes_.size() > 1;
+      span.arg("classes", static_cast<Count>(classes_.size()));
+    }
+    solve_classes(requests, pool, options.min_grain, round_begin);
+    std::erase_if(pending, [&](Count i) {
+      return !results[static_cast<size_t>(i)].ok();
+    });
     pool.parallel_for_chunked(
-        static_cast<Count>(representatives.size()), options.min_grain,
+        static_cast<Count>(pending.size()), options.min_grain,
         [&](Count begin, Count end) {
-          // Worker-thread chunks get their own span + latency sample, so a
-          // trace shows per-chunk occupancy and the histogram shows chunk
-          // skew (p50 vs p99 chunk time) across the pool.
-          obs::Span chunk_span("partitioner.solve_many.prime");
+          obs::Span chunk_span("partitioner.solve_many.rehydrate");
           chunk_span.arg("begin", begin).arg("end", end);
           obs::LatencyTimer chunk_timer("partitioner.solve_many.chunk.ns");
-          // The chunk span is the flight-ring narrative; the per-request
-          // spans inside solve_impl are detail and would otherwise dominate
-          // the always-on recorder's cost in this loop.
           const obs::FlightQuietScope quiet;
-          Canonicalizer canon;
-          BankSearchScratch scratch;
-          std::vector<std::int64_t> chunk_key;
-          PartitionSolution scratch_solution;
-          for (Count c = begin; c < end; ++c) {
-            const size_t index =
-                static_cast<size_t>(representatives[static_cast<size_t>(c)]);
-            try {
-              solve_impl(requests[index], cache_, canon, scratch, chunk_key,
-                         scratch_solution);
-            } catch (const Error&) {
-              // Recorded per-request in phase 3; priming is best-effort.
-            }
+          for (Count k = begin; k < end; ++k) {
+            rehydrate_member(pending[static_cast<size_t>(k)], identity_round);
           }
         });
+  };
+
+  // Round 1: every request, in its permuted canonical order.
+  pending.resize(requests.size());
+  std::iota(pending.begin(), pending.end(), Count{0});
+  run_round(/*identity_round=*/false);
+
+  // Round 2: requests whose permuted alpha failed the mapping precondition
+  // are canonicalized again in caller dimension order, keyed with the
+  // permutation flag 0.
+  std::erase_if(pending, [&](Count i) {
+    return !members_[static_cast<size_t>(i)].retry;
+  });
+  if (!pending.empty()) {
+    obs::count("partitioner.identity_fallbacks",
+               static_cast<std::int64_t>(pending.size()));
+    run_round(/*identity_round=*/true);
   }
-
-  // Phase 3: rehydrate every request (in parallel chunks, results written
-  // by index — deterministic output order at any thread count).
-  pool.parallel_for_chunked(
-      n, options.min_grain, [&](Count begin, Count end) {
-        obs::Span chunk_span("partitioner.solve_many.rehydrate");
-        chunk_span.arg("begin", begin).arg("end", end);
-        obs::LatencyTimer chunk_timer("partitioner.solve_many.chunk.ns");
-        const obs::FlightQuietScope quiet;
-        Canonicalizer canon;
-        BankSearchScratch scratch;
-        std::vector<std::int64_t> chunk_key;
-        for (Count i = begin; i < end; ++i) {
-          BatchResult& slot = results[static_cast<size_t>(i)];
-          if (!slot.error.empty()) continue;
-          try {
-            PartitionSolution solution;
-            solve_impl(requests[static_cast<size_t>(i)], cache_, canon,
-                       scratch, chunk_key, solution);
-            slot.solution.emplace(std::move(solution));
-          } catch (const Error& error) {
-            slot.error = error.what();
-          }
-        }
-      });
-
   return results;
 }
 

@@ -39,6 +39,8 @@
 
 namespace mempart {
 
+class ThreadPool;
+
 /// Inputs of Problem 1.
 struct PartitionRequest {
   /// The access pattern P (required).
@@ -104,12 +106,13 @@ struct BatchResult {
   std::optional<PartitionSolution> solution;
   std::string error;
 
-  /// True when the request's canonical class was already cached when the
-  /// batch started — i.e. the batch did no cold solve for it. False for
-  /// cold classes (including every duplicate of one: they all waited on
-  /// the same phase-2 solve) and whenever no cache is bound. Lets serving
-  /// layers report hit and miss latency as separate series instead of a
-  /// bimodal blur.
+  /// True when the batch's probe found the request's canonical class (and,
+  /// for an identity-order retry, its identity class too) resident — i.e.
+  /// the request waited on no cold solve. False for cold classes
+  /// (including every duplicate of one: they all share its one solve),
+  /// for a class another caller was solving when probed, and whenever no
+  /// cache is bound. Lets serving layers report hit and miss latency as
+  /// separate series instead of a bimodal blur.
   bool cache_hit = false;
 
   [[nodiscard]] bool ok() const { return solution.has_value(); }
@@ -150,11 +153,18 @@ class Partitioner {
   MEMPART_NOALLOC void solve_into(const PartitionRequest& request,
                                   PartitionSolution& out);
 
-  /// Solves a batch: canonically equal requests are deduplicated, the
-  /// distinct solves fan out over a ThreadPool in chunks of at least
-  /// options.min_grain, and results come back in input order — the output
-  /// is byte-identical at any thread count. Throws the first (by input
-  /// order) error after the batch drains.
+  /// Solves a batch: each request is canonicalized once, canonically equal
+  /// requests are deduplicated into classes, each class is probed (and on
+  /// a miss solved) once, the distinct solves fan out over a ThreadPool in
+  /// chunks of at least options.min_grain, and every request is rehydrated
+  /// from its class. Results come back in input order — the output is
+  /// byte-identical at any thread count. A request's ops are what
+  /// solve_cached() would charge it if the batch ran request by request
+  /// in input order after a warm-up that solves each class's first
+  /// request (skipped for a single-class batch): its canonicalizations,
+  /// plus a class solve only where that run would pay it on the request's
+  /// behalf — always without a cache. Throws the first (by input order)
+  /// error after the batch drains.
   [[nodiscard]] std::vector<PartitionSolution> solve_many(
       std::span<const PartitionRequest> requests,
       const BatchOptions& options = {});
@@ -168,17 +178,52 @@ class Partitioner {
   [[nodiscard]] SolveCache* cache() const { return cache_; }
 
  private:
-  /// The one shared pipeline: canonicalize -> cache lookup or canonical
-  /// solve -> rehydrate -> mapping. Static solve() passes cache = nullptr.
+  /// One distinct canonical class of a solve_many_collect round.
+  struct BatchClass {
+    size_t key_offset = 0;  ///< the key's words in key_arena_
+    size_t key_size = 0;
+    std::uint64_t hash = 0;
+    Count first = 0;        ///< first member request, input order
+    /// Whether the request-by-request reference run (see solve_many)
+    /// solves this class in its warm-up, i.e. charges no member for it.
+    bool warmed = false;
+    bool hit = false;       ///< resident when probed
+    std::shared_ptr<const CachedSolve> core;
+    OpTally solve_ops;      ///< this call's solve of it; zero on a hit
+    std::string error;      ///< what() of a failed solve
+  };
+
+  /// Per-request state of a solve_many_collect call.
+  struct BatchMember {
+    Count permuted_class = -1;  ///< class index in the permuted round
+    Count identity_class = -1;  ///< class index in the identity round
+    OpTally ops;                ///< canonicalization arithmetic so far
+    bool identity_perm = true;  ///< the permuted round's perm was identity
+    bool retry = false;         ///< needs the identity-order round
+  };
+
+  /// The single-request pipeline: canonicalize -> cache lookup or
+  /// canonical solve -> rehydrate -> mapping. Static solve() passes
+  /// cache = nullptr.
   static void solve_impl(const PartitionRequest& request, SolveCache* cache,
                          Canonicalizer& canon, BankSearchScratch& scratch,
                          std::vector<std::int64_t>& key,
                          PartitionSolution& out);
 
+  /// Probes, and on a miss solves, classes_[round_begin..) over `pool`.
+  void solve_classes(std::span<const PartitionRequest> requests,
+                     ThreadPool& pool, Count min_grain, size_t round_begin);
+
   SolveCache* cache_ = nullptr;
   Canonicalizer canon_;
   BankSearchScratch search_scratch_;
   std::vector<std::int64_t> key_;
+
+  // solve_many_collect scratch, kept so its capacity is reused per call.
+  std::vector<std::int64_t> key_arena_;  ///< every class key of a call
+  std::vector<BatchClass> classes_;
+  std::vector<std::int32_t> class_slots_;  ///< open-addressed class index
+  std::vector<BatchMember> members_;
 };
 
 }  // namespace mempart

@@ -136,12 +136,16 @@ Span::~Span() {
   TraceLog& log = TraceLog::instance();
   TraceEvent event;
   event.name = std::move(name_);
-  event.start_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                       start_ - log.epoch_)
-                       .count();
-  event.duration_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
-          .count();
+  // Truncate both ends against the epoch and subtract, so exported
+  // intervals nest exactly: a child that ends before its parent never
+  // exports an end (start_us + duration_us) past the parent's.
+  const auto to_us = [&](std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration_cast<std::chrono::microseconds>(t -
+                                                                 log.epoch_)
+        .count();
+  };
+  event.start_us = to_us(start_);
+  event.duration_us = to_us(end) - event.start_us;
   event.thread_id = this_thread_id();
   event.depth = depth_;
   event.args = std::move(args_);

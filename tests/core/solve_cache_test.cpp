@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <thread>
@@ -66,20 +67,99 @@ TEST(SolveCache, HitKeepsTheValueAliveAcrossEviction) {
   EXPECT_EQ(held->search.num_banks, 7);  // shared_ptr keeps it valid
 }
 
-TEST(SolveCache, ContainsPeeksWithoutCountingOrPromoting) {
-  SolveCache cache(2, /*shards=*/1);
-  EXPECT_FALSE(cache.contains(key_of(1)));
-  cache.insert(key_of(1), dummy_value(1));
-  cache.insert(key_of(2), dummy_value(2));
-  EXPECT_TRUE(cache.contains(key_of(1)));
-  // The peek neither registered a hit/miss nor refreshed recency: key 1 is
-  // still the LRU victim when key 3 arrives.
-  cache.insert(key_of(3), dummy_value(3));
-  EXPECT_FALSE(cache.contains(key_of(1)));
-  EXPECT_TRUE(cache.contains(key_of(2)));
+TEST(SolveCache, FindOrSolveSolvesAColdKeyOnce) {
+  SolveCache cache(4, /*shards=*/1);
+  int solves = 0;
+  const auto solve = [&] {
+    ++solves;
+    return dummy_value(6);
+  };
+  bool hit = true;
+  const auto cold = cache.find_or_solve(key_of(1), solve, &hit);
+  EXPECT_FALSE(hit);
+  const auto warm = cache.find_or_solve(key_of(1), solve, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(solves, 1);
+  EXPECT_EQ(cold, warm);
+  EXPECT_EQ(warm->search.num_banks, 6);
   const SolveCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0);
-  EXPECT_EQ(stats.misses, 0);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.insertions, 1);
+}
+
+// The claimant's solve throws while another caller waits on the same key:
+// the claim is released, the waiter solves the key itself and fills it,
+// and the exception reaches only the claimant.
+TEST(SolveCache, FindOrSolveWaiterTakesOverWhenTheSolveThrows) {
+  SolveCache cache(4, /*shards=*/1);
+  std::atomic<bool> claimed{false};
+  std::atomic<bool> waiter_started{false};
+  std::thread claimant([&] {
+    const auto failing_solve = [&]() -> std::shared_ptr<const CachedSolve> {
+      claimed.store(true);
+      while (!waiter_started.load()) std::this_thread::yield();
+      // Let the waiter reach the wait before the solve fails.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      throw InvalidArgument("solve failed");
+    };
+    EXPECT_THROW((void)cache.find_or_solve(key_of(1), failing_solve),
+                 InvalidArgument);
+  });
+  while (!claimed.load()) std::this_thread::yield();
+  int waiter_solves = 0;
+  bool hit = true;
+  waiter_started.store(true);
+  const auto value = cache.find_or_solve(
+      key_of(1),
+      [&] {
+        ++waiter_solves;
+        return dummy_value(4);
+      },
+      &hit);
+  claimant.join();
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(value->search.num_banks, 4);
+  EXPECT_EQ(waiter_solves, 1);
+  EXPECT_FALSE(hit);
+  const SolveCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2);  // two solves ran: the failed one and the fill
+  EXPECT_EQ(stats.insertions, 1);
+  EXPECT_EQ(stats.entries, 1);
+  EXPECT_NE(cache.find(key_of(1)), nullptr);
+}
+
+// Callers that arrive while a key is being solved wait for that one solve,
+// and each counts as a hit.
+TEST(SolveCache, FindOrSolveWaitersShareOneSolve) {
+  SolveCache cache(4, /*shards=*/1);
+  std::atomic<int> solves{0};
+  std::atomic<bool> release{false};
+  std::atomic<int> started{0};
+  constexpr int kCallers = 4;
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      started.fetch_add(1);
+      const auto value = cache.find_or_solve(key_of(1), [&] {
+        solves.fetch_add(1);
+        while (!release.load()) std::this_thread::yield();
+        return dummy_value(3);
+      });
+      EXPECT_EQ(value->search.num_banks, 3);
+    });
+  }
+  while (started.load() < kCallers || solves.load() == 0) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  release.store(true);
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(solves.load(), 1);
+  const SolveCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, kCallers - 1);
+  EXPECT_EQ(stats.insertions, 1);
 }
 
 TEST(SolveCache, ShardCountRoundsUpToAPowerOfTwo) {

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <random>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "check/oracle.h"
@@ -217,6 +220,199 @@ TEST(SolveMany, CollectFlagsCacheHitsAsOfBatchStart) {
   Partitioner uncached(nullptr);
   for (const BatchResult& result : uncached.solve_many_collect(batch)) {
     EXPECT_FALSE(result.cache_hit);
+  }
+}
+
+/// A shaped 2-D or 3-D request with a random pattern, array, cap, strategy
+/// and tail. Patterns with a longer leading extent canonicalize with a
+/// permutation, and a permuted alpha often fails the mapping's innermost
+/// remap precondition, so a stream of these mixes identity-order retries
+/// among ordinary requests.
+PartitionRequest random_shaped_request(std::mt19937& rng) {
+  const int rank = rng() % 3 == 0 ? 3 : 2;
+  std::uniform_int_distribution<Coord> box_extent(1, 6);
+  NdIndex box(static_cast<std::size_t>(rank));
+  for (Coord& e : box) e = box_extent(rng);
+  std::vector<NdIndex> offsets;
+  const int taps = 2 + static_cast<int>(rng() % 9);
+  for (int t = 0; t < 4 * taps && static_cast<int>(offsets.size()) < taps;
+       ++t) {
+    NdIndex offset(box.size());
+    for (std::size_t d = 0; d < box.size(); ++d) {
+      offset[d] = static_cast<Coord>(rng() % static_cast<unsigned>(box[d]));
+    }
+    if (std::find(offsets.begin(), offsets.end(), offset) == offsets.end()) {
+      offsets.push_back(std::move(offset));
+    }
+  }
+  if (offsets.size() < 2) offsets = {NdIndex(box.size(), 0), box};
+  std::vector<Count> shape;
+  for (const Coord e : box) {
+    shape.push_back(e + 2 + static_cast<Count>(rng() % 30));
+  }
+  PartitionRequest request;
+  request.pattern = Pattern(std::move(offsets));
+  request.array_shape = NdShape(std::move(shape));
+  request.max_banks = rng() % 2 == 0 ? 0 : 2 + static_cast<Count>(rng() % 7);
+  request.strategy = rng() % 2 == 0 ? ConstraintStrategy::kFastFold
+                                    : ConstraintStrategy::kSameSize;
+  request.tail = rng() % 3 == 0 ? TailPolicy::kCompact : TailPolicy::kPadded;
+  return request;
+}
+
+/// Random shaped requests plus translated duplicates (some on another
+/// array), shuffled.
+std::vector<PartitionRequest> mixed_shaped_batch(std::uint32_t seed,
+                                                 int distinct) {
+  std::mt19937 rng(seed);
+  std::vector<PartitionRequest> batch;
+  for (int k = 0; k < distinct; ++k) {
+    PartitionRequest request = random_shaped_request(rng);
+    PartitionRequest twin = request;
+    twin.pattern =
+        request.pattern->translated(random_shift(rng, request.pattern->rank()));
+    if (rng() % 2 == 0) {
+      twin.array_shape = random_shaped_request(rng).array_shape;
+    }
+    if (twin.array_shape->rank() != request.pattern->rank()) {
+      twin.array_shape = request.array_shape;
+    }
+    batch.push_back(std::move(request));
+    batch.push_back(std::move(twin));
+  }
+  std::shuffle(batch.begin(), batch.end(), rng);
+  return batch;
+}
+
+/// Expects `got` to answer `request` exactly as a direct solve does: the
+/// same solution, or the same error.
+void expect_matches_direct(const BatchResult& got,
+                           const PartitionRequest& request,
+                           const std::string& where, bool same_ops) {
+  try {
+    const PartitionSolution direct = Partitioner::solve(request);
+    ASSERT_TRUE(got.ok()) << where << ": " << got.error;
+    testsupport::expect_same_solution(*got.solution, direct, where);
+    EXPECT_EQ(got.solution->mapping.has_value(), direct.mapping.has_value())
+        << where;
+    if (direct.mapping.has_value()) {
+      EXPECT_EQ(got.solution->storage_overhead_elements(),
+                direct.storage_overhead_elements())
+          << where;
+    }
+    if (same_ops) {
+      EXPECT_EQ(got.solution->ops, direct.ops) << where;
+    }
+  } catch (const Error& error) {
+    EXPECT_FALSE(got.ok()) << where;
+    EXPECT_EQ(got.error, error.what()) << where;
+  }
+}
+
+TEST(SolveMany, IdentityOrderRetriesMatchDirectSolves) {
+  const std::vector<PartitionRequest> batch = mixed_shaped_batch(31, 120);
+  Count retries = 0;
+  for (const PartitionRequest& request : batch) {
+    try {
+      const PartitionSolution direct = Partitioner::solve(request);
+      retries +=
+          direct.transform.alpha() != canonicalize(*request.pattern).alpha;
+    } catch (const Error&) {
+    }
+  }
+  // The stream really exercises the identity-order round.
+  EXPECT_GE(retries, static_cast<Count>(batch.size() / 10));
+  for (const bool cached : {true, false}) {
+    for (const Count threads : {1, 4}) {
+      SolveCache cache(4096);
+      Partitioner partitioner(cached ? &cache : nullptr);
+      BatchOptions options;
+      options.threads = threads;
+      options.min_grain = 4;
+      const std::vector<BatchResult> results =
+          partitioner.solve_many_collect(batch, options);
+      ASSERT_EQ(results.size(), batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const std::string where = "request " + std::to_string(i) +
+                                  (cached ? " cached" : " uncached") + " at " +
+                                  std::to_string(threads) + " threads";
+        expect_matches_direct(results[i], batch[i], where,
+                              /*same_ops=*/!cached);
+      }
+    }
+  }
+}
+
+TEST(SolveMany, AnswersDoNotDependOnTheCacheKeepingEntries) {
+  // 64 classes through a one-entry cache: every class but the last is
+  // evicted before the batch rehydrates it.
+  std::mt19937 rng(64);
+  std::vector<PartitionRequest> batch;
+  while (batch.size() < 64) {
+    PartitionRequest request = random_shaped_request(rng);
+    request.max_banks = static_cast<Count>(batch.size() % 8);
+    batch.push_back(std::move(request));
+  }
+  SolveCache tiny(1);
+  Partitioner partitioner(&tiny);
+  const std::vector<BatchResult> results =
+      partitioner.solve_many_collect(batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    expect_matches_direct(results[i], batch[i], "request " + std::to_string(i),
+                          /*same_ops=*/false);
+  }
+  // Each class was still solved once: as many solves as a roomy cache.
+  SolveCache roomy(4096);
+  Partitioner reference(&roomy);
+  (void)reference.solve_many_collect(batch);
+  EXPECT_GE(roomy.stats().misses, 64);
+  EXPECT_EQ(tiny.stats().misses, roomy.stats().misses);
+  EXPECT_EQ(tiny.stats().entries, 1);
+}
+
+TEST(SolveMany, UncachedBatchReportsFullSolveOps) {
+  std::vector<PartitionRequest> batch;
+  for (Coord shift = 0; shift < 10; ++shift) {
+    PartitionRequest request;
+    request.pattern = patterns::log5x5().translated({shift, 2 * shift});
+    request.array_shape = NdShape({64, 48});
+    batch.push_back(std::move(request));
+  }
+  Partitioner uncached(nullptr);
+  const std::vector<BatchResult> results = uncached.solve_many_collect(batch);
+  ASSERT_EQ(results.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].error;
+    EXPECT_EQ(results[i].solution->ops, Partitioner::solve(batch[i]).ops)
+        << "request " << i;
+  }
+}
+
+TEST(SolveMany, ConcurrentBatchesSolveAColdClassOnce) {
+  // Two callers, each with its own Partitioner on one shared cache, batch
+  // the same cold class at the same moment: the single-flight fill lets
+  // exactly one of them solve it.
+  std::vector<PartitionRequest> batch(1);
+  batch[0].pattern = patterns::cross2d(96);
+  SolveCache cache(64);
+  BatchOptions options;
+  options.threads = 1;
+  for (int round = 0; round < 200; ++round) {
+    cache.clear();
+    std::atomic<int> arrived{0};
+    const auto caller = [&] {
+      Partitioner partitioner(&cache);
+      arrived.fetch_add(1);
+      while (arrived.load() < 2) {
+      }
+      const std::vector<BatchResult> results =
+          partitioner.solve_many_collect(batch, options);
+      EXPECT_TRUE(results[0].ok());
+    };
+    std::thread other(caller);
+    caller();
+    other.join();
+    ASSERT_EQ(cache.stats().misses, 1) << "round " << round;
   }
 }
 

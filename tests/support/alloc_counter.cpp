@@ -6,7 +6,10 @@
 
 // Replacing the global operator new/delete pair affects the whole test
 // binary, so the implementation stays minimal (malloc/free plus a relaxed
-// counter) and thread-safe; the aligned overloads are untouched and keep
+// counter) and thread-safe. The nothrow forms (std::stable_sort's buffer
+// comes from one) are replaced too and count alike: their memory is freed
+// through the replaced delete, so leaving them to the library would pair a
+// library new with this free. The aligned overloads are untouched and keep
 // their default pairing.
 namespace {
 std::atomic<long> g_allocations{0};
@@ -23,10 +26,21 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 #pragma GCC diagnostic pop
 
 namespace mempart::testsupport {

@@ -9,7 +9,8 @@
 
 namespace mempart::testsupport {
 
-/// Number of operator new / operator new[] calls since process start.
+/// Number of operator new / operator new[] calls (throwing or nothrow)
+/// since process start.
 /// Monotonic; sample before/after and compare deltas.
 [[nodiscard]] long allocation_count() noexcept;
 
