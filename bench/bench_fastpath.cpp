@@ -30,6 +30,7 @@
 
 #include <cmath>
 
+#include "bench_host.h"
 #include "common/args.h"
 #include "common/parallel.h"
 #include "common/simd.h"
@@ -125,8 +126,8 @@ int main(int argc, char** argv) {
 
   bool all_match = true;
   std::ostringstream json;
-  json << "{\n  \"quick\": " << (quick ? "true" : "false")
-       << ",\n  \"workloads\": [\n";
+  json << "{\n  \"quick\": " << (quick ? "true" : "false") << ",\n  "
+       << bench::host_json_fields() << ",\n  \"workloads\": [\n";
 
   // --- Part 1: single-thread A/B per workload ---
   std::cout << "=== Fast-path A/B: reference simulate() vs compiled "

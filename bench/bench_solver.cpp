@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "baseline/ltb.h"
+#include "bench_host.h"
 #include "check/generator.h"
 #include "common/args.h"
 #include "common/errors.h"
@@ -439,7 +440,8 @@ void write_json(const std::string& path, bool quick,
                 const std::vector<LtbReport>& ltb, double geomean,
                 double min_geomean, bool pass) {
   std::ostringstream json;
-  json << "{\n  \"quick\": " << (quick ? "true" : "false") << ",\n";
+  json << "{\n  \"quick\": " << (quick ? "true" : "false") << ",\n  "
+       << bench::host_json_fields() << ",\n";
   json << "  \"tiers\": [";
   for (size_t i = 0; i < tiers.size(); ++i) {
     json << (i ? ", " : "") << '"' << simd::tier_name(tiers[i]) << '"';

@@ -61,87 +61,53 @@ bool stats_equal(const sim::AccessStats& a, const sim::AccessStats& b) {
          a.bank_load == b.bank_load;
 }
 
-/// Replays every compiled row of `plan` against per-access virtual calls on
-/// `map`; reports the first (bank, offset) disagreement.
+/// Replays the SoA block walk under every SIMD tier this binary + CPU can
+/// execute against per-access virtual calls on `map` (the oracle); reports
+/// each tier's first (bank, offset) disagreement, or a walk that emits a
+/// different number of groups than the domain holds.
 void check_plan_against_map(const sim::AccessPlan& plan,
                             const sim::AddressMap& map, const Pattern& pattern,
                             const std::vector<sim::PlanLoop>& domain,
                             const std::string& label, DiffReport& report) {
   const auto& offsets = pattern.offsets();
-  const size_t m = offsets.size();
   const Coord step = domain.back().step;
   const size_t inner = domain.size() - 1;
-  bool done = false;
-  plan.for_each_row([&](const NdIndex& row, std::span<const Count> banks,
-                        std::span<const Address> addr) {
-    if (done) return;
-    const size_t groups = banks.size() / m;
-    NdIndex iv = row;
-    for (size_t g = 0; g < groups && !done; ++g) {
-      for (size_t t = 0; t < m; ++t) {
-        const NdIndex x = add(iv, offsets[t]);
-        const Count want_bank = map.bank_of(x);
-        const Address want_addr = map.offset_of(x);
-        if (banks[g * m + t] != want_bank || addr[g * m + t] != want_addr) {
-          std::ostringstream os;
-          os << label << ": plan says (bank " << banks[g * m + t]
-             << ", offset " << addr[g * m + t] << ") but map says (bank "
-             << want_bank << ", offset " << want_addr << ") at iv="
-             << to_string(iv) << " tap=" << to_string(offsets[t]);
-          diverge(report, "plan-vs-map", os.str());
-          done = true;
-          return;
-        }
-      }
-      iv[inner] += step;
-    }
-  });
-}
-
-/// Replays the SoA block walk under every SIMD tier this binary + CPU can
-/// execute and demands bit-identity with the scalar row walk: same banks,
-/// same offsets, in tap-major order. The row walk never dispatches to the
-/// vector kernels, so it is the tier-independent reference.
-void check_simd_block_walk(const sim::AccessPlan& plan,
-                           const std::string& label, DiffReport& report) {
-  const auto m = static_cast<size_t>(plan.taps());
-  std::vector<Count> ref_banks;
-  std::vector<Address> ref_addr;
-  plan.for_each_row([&](const NdIndex&, std::span<const Count> banks,
-                        std::span<const Address> addr) {
-    const size_t groups = banks.size() / m;
-    for (size_t t = 0; t < m; ++t) {
-      for (size_t g = 0; g < groups; ++g) {
-        ref_banks.push_back(banks[g * m + t]);
-        ref_addr.push_back(addr[g * m + t]);
-      }
-    }
-  });
   for (const simd::Tier tier : simd::supported_tiers()) {
     const simd::TierOverride guard(tier);
-    size_t pos = 0;
+    const std::string who =
+        label + ": tier " + std::string(simd::tier_name(tier));
+    Count groups_seen = 0;
     bool done = false;
     plan.for_each_row_block([&](const NdIndex& row,
                                 const sim::AccessPlan::RowBlock& block) {
       if (done) return;
-      for (size_t i = 0; i < block.banks.size(); ++i, ++pos) {
-        if (pos >= ref_banks.size() || block.banks[i] != ref_banks[pos] ||
-            block.offsets[i] != ref_addr[pos]) {
+      groups_seen += block.groups;
+      for (Count t = 0; t < block.taps && !done; ++t) {
+        const auto banks = block.bank_plane(t);
+        const auto addr = block.offset_plane(t);
+        const NdIndex& delta = offsets[static_cast<size_t>(t)];
+        NdIndex iv = row;
+        for (size_t g = 0; g < banks.size(); ++g, iv[inner] += step) {
+          const NdIndex x = add(iv, delta);
+          const Count want_bank = map.bank_of(x);
+          const Address want_addr = map.offset_of(x);
+          if (banks[g] == want_bank && addr[g] == want_addr) continue;
           std::ostringstream os;
-          os << label << ": tier " << simd::tier_name(tier)
-             << " block walk diverges from the scalar row walk at row "
-             << to_string(row) << " plane index " << i;
-          diverge(report, "simd-tier", os.str());
+          os << who << " plan says (bank " << banks[g] << ", offset "
+             << addr[g] << ") but map says (bank " << want_bank
+             << ", offset " << want_addr << ") at iv=" << to_string(iv)
+             << " tap=" << to_string(delta);
+          diverge(report, "plan-vs-map", os.str());
           done = true;
-          return;
+          break;
         }
       }
     });
-    if (!done && pos != ref_banks.size()) {
-      std::ostringstream os;
-      os << label << ": tier " << simd::tier_name(tier) << " emitted " << pos
-         << " accesses but the row walk emitted " << ref_banks.size();
-      diverge(report, "simd-tier", os.str());
+    if (!done && groups_seen != plan.total_groups()) {
+      diverge(report, "plan-vs-map",
+              who + " walked " + std::to_string(groups_seen) +
+                  " groups but the domain has " +
+                  std::to_string(plan.total_groups()));
     }
   }
 }
@@ -195,7 +161,6 @@ void check_mapping(const sim::AddressMap& map, const Pattern& pattern,
     const auto domain = loopnest::plan_domain(program.loop_nest());
     const sim::AccessPlan plan(map, pattern, domain);
     check_plan_against_map(plan, map, pattern, domain, label, report);
-    check_simd_block_walk(plan, label, report);
 
     // Cycle statistics must be bit-identical for every dispatch tier, not
     // just the ambient one: the SoA engine's bitmask scoring path and the
@@ -441,6 +406,9 @@ DiffReport run_config(const CheckConfig& config) {
   DiffReport report;
   try {
     run_matrix(config, report);
+  } catch (const InternalError& e) {
+    // A failed MEMPART_ASSERT is a bug, never a rejection of the input.
+    diverge(report, "internal-error", e.what());
   } catch (const Error& e) {
     report.clean_reject = true;
     report.reject_reason = e.what();

@@ -8,17 +8,20 @@
 //   closed-form        vs  LTB baseline         (exhaustive N is minimal
 //                                                over linear transforms, so
 //                                                N_ltb <= N_f must hold)
-//   sim::AccessPlan    vs  AccessEngine::issue  (per-access (bank, offset)
-//                                                pairs, whole-run stats)
-//   loopnest::simulate_fast vs loopnest::simulate (bit-for-bit statistics)
+//   sim::AccessPlan    vs  AddressMap           (per-access (bank, offset)
+//     block walk           bank_of / offset_of   pairs, every SIMD tier)
+//   loopnest::simulate_fast vs loopnest::simulate (bit-for-bit statistics,
+//                                                every SIMD tier)
 //   storage accounting vs  capacity sums        (total = sum of banks,
 //                                                overhead = total - W)
 //
 // A clean mempart::Error is a legitimate outcome for degenerate or
 // overflow-provoking configs and is reported as `clean_reject`, with one
 // exception: definitionally invalid inputs (duplicate offsets, zero
-// extents) MUST be rejected — accepting them is itself a divergence. Any
-// non-mempart exception is a divergence of kind "crash".
+// extents) MUST be rejected — accepting them is itself a divergence. An
+// InternalError (a failed MEMPART_ASSERT, such as the fast path's bank
+// range check) is a divergence of kind "internal-error", and any
+// non-mempart exception one of kind "crash".
 #pragma once
 
 #include <string>
@@ -30,7 +33,7 @@ namespace mempart::check {
 
 /// One disagreement between two parties of the matrix.
 struct Divergence {
-  std::string kind;    ///< stable slug, e.g. "delta-bound", "plan-vs-engine"
+  std::string kind;    ///< stable slug, e.g. "delta-bound", "plan-vs-map"
   std::string detail;  ///< human-readable specifics for triage
 };
 

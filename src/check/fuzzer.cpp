@@ -93,9 +93,9 @@ FuzzSummary run_fuzz(const FuzzOptions& options) {
   FuzzSummary summary;
   // Randomise the ambient SIMD dispatch tier per iteration so the fuzz
   // corpus exercises every generation/scoring kernel, not just the widest
-  // one this host supports. (run_config's simd leg additionally sweeps all
-  // tiers deterministically; this varies which tier the rest of the
-  // pipeline — solver, convolution, stats — runs under.)
+  // one this host supports. (run_config's plan-vs-map and simulate legs
+  // additionally sweep all tiers deterministically; this varies which tier
+  // the rest of the pipeline — solver, convolution, stats — runs under.)
   const simd::TierOverride ambient_tier(simd::active_tier());
   const std::vector<simd::Tier> tiers = simd::supported_tiers();
   for (Count iter = 0; iter < options.iters; ++iter) {

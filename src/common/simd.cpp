@@ -14,38 +14,17 @@ namespace {
 /// fast-path call happens.
 std::atomic<int> g_active_tier{-1};
 
-bool cpu_has(Tier tier) {
-  switch (tier) {
-    case Tier::kScalar:
-      return true;
+bool cpu_has_avx2() {
 #if defined(MEMPART_SIMD_X86)
-    case Tier::kSse2:
-      return __builtin_cpu_supports("sse2") != 0;
-    case Tier::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
 #endif
-#if defined(MEMPART_SIMD_NEON)
-    case Tier::kNeon:
-      return true;
-#endif
-    default:
-      return false;
-  }
 }
 
-/// Steps an unsupported request down the widest-to-narrowest ladder.
+/// An avx2 request on a CPU without it runs scalar.
 Tier clamp_to_supported(Tier tier) {
-  if (tier == Tier::kAvx2 && !cpu_has(Tier::kAvx2)) tier = Tier::kSse2;
-  if (tier == Tier::kSse2 && !cpu_has(Tier::kSse2)) tier = Tier::kScalar;
-  if (tier == Tier::kNeon && !cpu_has(Tier::kNeon)) tier = Tier::kScalar;
-  return tier;
-}
-
-Tier widest_supported() {
-  if (cpu_has(Tier::kAvx2)) return Tier::kAvx2;
-  if (cpu_has(Tier::kSse2)) return Tier::kSse2;
-  if (cpu_has(Tier::kNeon)) return Tier::kNeon;
-  return Tier::kScalar;
+  return tier == Tier::kAvx2 && !cpu_has_avx2() ? Tier::kScalar : tier;
 }
 
 Tier resolve_initial() {
@@ -59,18 +38,14 @@ Tier resolve_initial() {
       if (requested.has_value()) return clamp_to_supported(*requested);
     }
   }
-  return widest_supported();
+  return clamp_to_supported(Tier::kAvx2);
 }
 
 }  // namespace
 
-bool tier_supported(Tier tier) { return cpu_has(tier); }
-
 std::vector<Tier> supported_tiers() {
   std::vector<Tier> tiers{Tier::kScalar};
-  for (const Tier t : {Tier::kSse2, Tier::kAvx2, Tier::kNeon}) {
-    if (cpu_has(t)) tiers.push_back(t);
-  }
+  if (cpu_has_avx2()) tiers.push_back(Tier::kAvx2);
   return tiers;
 }
 
@@ -94,55 +69,17 @@ Tier set_tier(Tier tier) {
   return installed;
 }
 
-Count tier_lanes(Tier tier) {
-  switch (tier) {
-    case Tier::kScalar:
-      return 1;
-    case Tier::kSse2:
-      return 2;
-    case Tier::kAvx2:
-      return 4;
-    case Tier::kNeon:
-      return 2;
-  }
-  return 1;
-}
-
 std::string_view tier_name(Tier tier) {
-  switch (tier) {
-    case Tier::kScalar:
-      return "scalar";
-    case Tier::kSse2:
-      return "sse2";
-    case Tier::kAvx2:
-      return "avx2";
-    case Tier::kNeon:
-      return "neon";
-  }
-  return "scalar";
-}
-
-Tier tier_from_name(std::string_view name, bool* is_auto) {
-  *is_auto = false;
-  if (name == "scalar") return Tier::kScalar;
-  if (name == "sse2") return Tier::kSse2;
-  if (name == "avx2") return Tier::kAvx2;
-  if (name == "neon") return Tier::kNeon;
-  // "auto" and unrecognised spellings both mean: detect. A typo silently
-  // falling back to scalar would make the bench lie about the speedup.
-  *is_auto = true;
-  return Tier::kScalar;
+  return tier == Tier::kAvx2 ? "avx2" : "scalar";
 }
 
 std::optional<Tier> parse_tier_env(std::string_view value) {
   if (value == "auto") return std::nullopt;
   if (value == "scalar") return Tier::kScalar;
-  if (value == "sse2") return Tier::kSse2;
   if (value == "avx2") return Tier::kAvx2;
-  if (value == "neon") return Tier::kNeon;
   throw InvalidArgument("MEMPART_SIMD='" + std::string(value) +
-                        "' is not a dispatch tier (expected scalar, sse2, "
-                        "avx2, neon or auto)");
+                        "' is not a dispatch tier (expected scalar, avx2 or "
+                        "auto)");
 }
 
 }  // namespace mempart::simd

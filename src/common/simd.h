@@ -2,17 +2,18 @@
 //
 // The SoA fast path (sim/soa_kernels_*.cpp) runs the paper's
 // add-and-conditional-subtract recurrence over W loop iterations at once;
-// this header supplies (a) the runtime dispatch state — which lane width the
-// process should use, detected via cpuid and overridable with the
-// MEMPART_SIMD environment variable or set_tier() — and (b) thin int64 lane
-// wrappers over SSE2 / AVX2 / NEON so the kernels are written once as a
-// template over the lane type.
+// this header supplies (a) the runtime dispatch state — scalar or AVX2,
+// detected via cpuid and overridable with the MEMPART_SIMD environment
+// variable or set_tier() — and (b) thin int64 lane wrappers (one scalar
+// lane, four AVX2 lanes) so the kernels are written once as a template
+// over the lane type. Every other target, AArch64 included, runs the
+// scalar instantiation.
 //
 // This is deliberately the ONE file allowed to include vendor intrinsic
 // headers; mempart_lint's simd-guard rule flags <immintrin.h> (and friends)
 // anywhere else so ISA-specific code cannot leak past the abstraction.
 //
-// Wrapper contract (all types):
+// Wrapper contract (both types):
 //   * lanes are int64_t, matching Count/Address;
 //   * ge0_mask(d) returns all-ones lanes where d >= 0 — the conditional
 //     subtract `if (v >= m) v -= m` becomes
@@ -21,17 +22,15 @@
 //     count outside [0, 64) yields 0 (never UB), so the conflict-scoring
 //     kernel can run ahead of the engine's range assertion;
 //   * gather(table, idx) is a table lookup per lane (hardware gather on
-//     AVX2, scalar extraction elsewhere) used by the folded-bank pass;
+//     AVX2) used by the folded-bank pass;
 //   * srl(a, count) is a LOGICAL right shift by one uniform count in
 //     [0, 64) — bit extraction from the packed difference bitset
 //     (core/bank_kernels_impl.h) treats lanes as unsigned words;
-//   * mullo(a, b) is the low 64 bits of the unsigned product (SSE2/AVX2
-//     synthesize it from 32x32 partial products; NEON has no 64-bit
-//     vector multiply and spills) — the modular-inverse divisibility
-//     probe only needs the product mod 2^64;
+//   * mullo(a, b) is the low 64 bits of the unsigned product (AVX2
+//     synthesizes it from 32x32 partial products) — the modular-inverse
+//     divisibility probe only needs the product mod 2^64;
 //   * leu_mask(a, b) returns all-ones lanes where a <= b as UNSIGNED
-//     64-bit values (sign-bias + signed compare on AVX2, vcleq_u64 on
-//     NEON, per-lane spill on SSE2).
+//     64-bit values (sign-bias + signed compare on AVX2).
 #pragma once
 
 #include <cstdint>
@@ -43,44 +42,34 @@
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define MEMPART_SIMD_X86 1
+#if defined(__AVX2__)
 #include <immintrin.h>
-#elif defined(__aarch64__)
-#define MEMPART_SIMD_NEON 1
-#include <arm_neon.h>
+#endif
 #endif
 
 namespace mempart::simd {
 
-/// Dispatch tiers, narrowest first. kSse2 and kAvx2 exist only on x86-64
-/// builds, kNeon only on AArch64; tier_supported() reports what the running
-/// CPU (and the binary) can actually execute.
-enum class Tier { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };
-
-/// Widest tier this binary + CPU pair can execute.
-[[nodiscard]] bool tier_supported(Tier tier);
+/// Dispatch tiers, narrowest first. kAvx2 exists only on x86-64 builds and
+/// only runs where cpuid reports AVX2; supported_tiers() lists what the
+/// running CPU (and the binary) can execute.
+enum class Tier { kScalar = 0, kAvx2 = 1 };
 
 /// Supported tiers in ascending lane width (always starts with kScalar).
 [[nodiscard]] std::vector<Tier> supported_tiers();
 
 /// The tier the fast path dispatches to. Resolution order: the last
 /// set_tier() call, else the MEMPART_SIMD environment variable
-/// (scalar|sse2|avx2|neon|auto), else the widest supported tier. Requests
-/// for an unsupported tier clamp down (avx2 -> sse2 -> scalar, neon ->
-/// scalar); unknown env spellings throw InvalidArgument (parse_tier_env).
+/// (scalar|avx2|auto), else the widest supported tier. An avx2 request on
+/// a CPU without AVX2 clamps to scalar; unknown env spellings throw
+/// InvalidArgument (parse_tier_env).
 [[nodiscard]] Tier active_tier();
 
 /// Programmatic override (tests, fuzzing, benches). Clamped like the env
 /// variable; returns the tier actually installed.
 Tier set_tier(Tier tier);
 
-/// Lanes a tier processes per step: 1, 2, 4, 2.
-[[nodiscard]] Count tier_lanes(Tier tier);
-
-/// Lower-case tier name ("scalar", "sse2", "avx2", "neon").
+/// Lower-case tier name ("scalar", "avx2").
 [[nodiscard]] std::string_view tier_name(Tier tier);
-
-/// Parses a tier name or "auto". Sets *is_auto for "auto"/unknown input.
-[[nodiscard]] Tier tier_from_name(std::string_view name, bool* is_auto);
 
 /// Strictly parses a MEMPART_SIMD value: returns the named tier, nullopt
 /// for "auto", and throws InvalidArgument (listing the accepted spellings)
@@ -88,7 +77,7 @@ Tier set_tier(Tier tier);
 [[nodiscard]] std::optional<Tier> parse_tier_env(std::string_view value);
 
 /// Widest lane count any tier uses; per-lane stride tables are sized by it.
-inline constexpr Count kMaxLanes = 8;
+inline constexpr Count kMaxLanes = 4;
 
 /// RAII tier override for tests and the differential harness: installs
 /// `tier` (clamped) and restores the previous active tier on destruction.
@@ -110,7 +99,7 @@ class TierOverride {
 // ---------------------------------------------------------------------------
 
 /// Scalar "vector" of one int64 lane; the template baseline every kernel
-/// falls back to and the reference the wider wrappers are tested against.
+/// falls back to and the reference the AVX2 wrapper is tested against.
 struct I64x1 {
   static constexpr Count kLanes = 1;
   std::int64_t v;
@@ -149,81 +138,9 @@ struct I64x1 {
   [[nodiscard]] std::uint32_t nonzero_mask() const { return v != 0 ? 1u : 0u; }
 };
 
-#if defined(MEMPART_SIMD_X86)
-
-/// Two int64 lanes over SSE2 (baseline on x86-64). SSE2 has no 64-bit
-/// compare, so ge0_mask replicates each lane's sign dword and arithmetic-
-/// shifts it; shl1/gather/nonzero_mask go through a stack spill — the hot
-/// generation kernel never calls them.
-struct I64x2 {
-  static constexpr Count kLanes = 2;
-  __m128i v;
-
-  static I64x2 broadcast(std::int64_t x) { return {_mm_set1_epi64x(x)}; }
-  static I64x2 load(const std::int64_t* p) {
-    return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
-  }
-  void store(std::int64_t* p) const {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-  }
-  static I64x2 add(I64x2 a, I64x2 b) { return {_mm_add_epi64(a.v, b.v)}; }
-  static I64x2 sub(I64x2 a, I64x2 b) { return {_mm_sub_epi64(a.v, b.v)}; }
-  static I64x2 and_(I64x2 a, I64x2 b) { return {_mm_and_si128(a.v, b.v)}; }
-  static I64x2 or_(I64x2 a, I64x2 b) { return {_mm_or_si128(a.v, b.v)}; }
-  static I64x2 xor_(I64x2 a, I64x2 b) { return {_mm_xor_si128(a.v, b.v)}; }
-  static I64x2 srl(I64x2 a, int count) {
-    return {_mm_srl_epi64(a.v, _mm_cvtsi32_si128(count))};
-  }
-  static I64x2 mullo(I64x2 a, I64x2 b) {
-    // SSE2 has no 64-bit multiply; build the low half from 32x32 partials:
-    // lo(a)*lo(b) + ((hi(a)*lo(b) + lo(a)*hi(b)) << 32). The cross terms'
-    // own high halves shift out of the 64-bit lane, so plain epu32
-    // products suffice.
-    const __m128i lo = _mm_mul_epu32(a.v, b.v);
-    const __m128i cross =
-        _mm_add_epi64(_mm_mul_epu32(_mm_srli_epi64(a.v, 32), b.v),
-                      _mm_mul_epu32(a.v, _mm_srli_epi64(b.v, 32)));
-    return {_mm_add_epi64(lo, _mm_slli_epi64(cross, 32))};
-  }
-  static I64x2 leu_mask(I64x2 a, I64x2 b) {
-    // No 64-bit unsigned compare before SSE4.2; spill like shl1/gather.
-    alignas(16) std::int64_t la[2];
-    alignas(16) std::int64_t lb[2];
-    a.store(la);
-    b.store(lb);
-    la[0] = I64x1::leu_mask({la[0]}, {lb[0]}).v;
-    la[1] = I64x1::leu_mask({la[1]}, {lb[1]}).v;
-    return load(la);
-  }
-  static I64x2 ge0_mask(I64x2 d) {
-    const __m128i sign =
-        _mm_srai_epi32(_mm_shuffle_epi32(d.v, 0xF5), 31);  // lt-zero mask
-    return {_mm_xor_si128(sign, _mm_set1_epi32(-1))};
-  }
-  static I64x2 shl1(I64x2 c) {
-    alignas(16) std::int64_t lanes[2];
-    c.store(lanes);
-    lanes[0] = I64x1::shl1({lanes[0]}).v;
-    lanes[1] = I64x1::shl1({lanes[1]}).v;
-    return load(lanes);
-  }
-  static I64x2 gather(const std::int64_t* table, I64x2 idx) {
-    alignas(16) std::int64_t lanes[2];
-    idx.store(lanes);
-    lanes[0] = table[lanes[0]];
-    lanes[1] = table[lanes[1]];
-    return load(lanes);
-  }
-  [[nodiscard]] std::uint32_t nonzero_mask() const {
-    alignas(16) std::int64_t lanes[2];
-    store(lanes);
-    return (lanes[0] != 0 ? 1u : 0u) | (lanes[1] != 0 ? 2u : 0u);
-  }
-};
-
-#ifdef __AVX2__
+#if defined(MEMPART_SIMD_X86) && defined(__AVX2__)
 /// Four int64 lanes over AVX2. Only visible in translation units compiled
-/// with -mavx2 (sim/soa_kernels_avx2.cpp); runtime dispatch keeps these
+/// with -mavx2 (the *_avx2.cpp kernel units); runtime dispatch keeps these
 /// instructions off CPUs that lack them.
 struct I64x4 {
   static constexpr Count kLanes = 4;
@@ -245,8 +162,10 @@ struct I64x4 {
     return {_mm256_srl_epi64(a.v, _mm_cvtsi32_si128(count))};
   }
   static I64x4 mullo(I64x4 a, I64x4 b) {
-    // Same 32x32 partial-product decomposition as the SSE2 wrapper
-    // (_mm256_mullo_epi64 needs AVX-512DQ).
+    // No 64-bit multiply before AVX-512DQ; build the low half from 32x32
+    // partials: lo(a)*lo(b) + ((hi(a)*lo(b) + lo(a)*hi(b)) << 32). The
+    // cross terms' own high halves shift out of the 64-bit lane, so plain
+    // epu32 products suffice.
     const __m256i lo = _mm256_mul_epu32(a.v, b.v);
     const __m256i cross =
         _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a.v, 32), b.v),
@@ -280,67 +199,6 @@ struct I64x4 {
     return ~zero_lanes & 0xFu;
   }
 };
-#endif  // __AVX2__
-
-#elif defined(MEMPART_SIMD_NEON)
-
-/// Two int64 lanes over AArch64 NEON (always available there).
-struct I64x2 {
-  static constexpr Count kLanes = 2;
-  int64x2_t v;
-
-  static I64x2 broadcast(std::int64_t x) { return {vdupq_n_s64(x)}; }
-  static I64x2 load(const std::int64_t* p) { return {vld1q_s64(p)}; }
-  void store(std::int64_t* p) const { vst1q_s64(p, v); }
-  static I64x2 add(I64x2 a, I64x2 b) { return {vaddq_s64(a.v, b.v)}; }
-  static I64x2 sub(I64x2 a, I64x2 b) { return {vsubq_s64(a.v, b.v)}; }
-  static I64x2 and_(I64x2 a, I64x2 b) { return {vandq_s64(a.v, b.v)}; }
-  static I64x2 or_(I64x2 a, I64x2 b) { return {vorrq_s64(a.v, b.v)}; }
-  static I64x2 xor_(I64x2 a, I64x2 b) { return {veorq_s64(a.v, b.v)}; }
-  static I64x2 srl(I64x2 a, int count) {
-    // NEON shifts by a vector of signed counts; negative = right, and the
-    // u64 flavour makes it logical.
-    return {vreinterpretq_s64_u64(
-        vshlq_u64(vreinterpretq_u64_s64(a.v), vdupq_n_s64(-count)))};
-  }
-  static I64x2 mullo(I64x2 a, I64x2 b) {
-    // No 64-bit vector multiply on NEON; spill like shl1/gather.
-    alignas(16) std::int64_t la[2];
-    alignas(16) std::int64_t lb[2];
-    a.store(la);
-    b.store(lb);
-    la[0] = I64x1::mullo({la[0]}, {lb[0]}).v;
-    la[1] = I64x1::mullo({la[1]}, {lb[1]}).v;
-    return load(la);
-  }
-  static I64x2 leu_mask(I64x2 a, I64x2 b) {
-    return {vreinterpretq_s64_u64(vcleq_u64(vreinterpretq_u64_s64(a.v),
-                                            vreinterpretq_u64_s64(b.v)))};
-  }
-  static I64x2 ge0_mask(I64x2 d) {
-    return {vreinterpretq_s64_u64(vcgeq_s64(d.v, vdupq_n_s64(0)))};
-  }
-  static I64x2 shl1(I64x2 c) {
-    alignas(16) std::int64_t lanes[2];
-    c.store(lanes);
-    lanes[0] = I64x1::shl1({lanes[0]}).v;
-    lanes[1] = I64x1::shl1({lanes[1]}).v;
-    return load(lanes);
-  }
-  static I64x2 gather(const std::int64_t* table, I64x2 idx) {
-    alignas(16) std::int64_t lanes[2];
-    idx.store(lanes);
-    lanes[0] = table[lanes[0]];
-    lanes[1] = table[lanes[1]];
-    return load(lanes);
-  }
-  [[nodiscard]] std::uint32_t nonzero_mask() const {
-    alignas(16) std::int64_t lanes[2];
-    store(lanes);
-    return (lanes[0] != 0 ? 1u : 0u) | (lanes[1] != 0 ? 2u : 0u);
-  }
-};
-
-#endif  // MEMPART_SIMD_X86 / MEMPART_SIMD_NEON
+#endif  // MEMPART_SIMD_X86 && __AVX2__
 
 }  // namespace mempart::simd

@@ -6,7 +6,7 @@
 // of function pointers selected once per solve from the active
 // mempart::simd tier. Each kernel is written once as a template over a
 // lane wrapper (common/simd.h) and instantiated per tier in its own
-// translation unit — bank_kernels_base.cpp for scalar/SSE2/NEON,
+// translation unit — bank_kernels_base.cpp for scalar,
 // bank_kernels_avx2.cpp compiled with -mavx2 — mirroring the SoA fast
 // path (sim/soa_kernels.h), so AVX2 instructions never leak into code a
 // pre-AVX2 CPU could reach.
@@ -19,14 +19,8 @@
 
 namespace mempart::bank {
 
-/// One tier's kernel table. `tier` is what the table actually implements —
-/// narrower than the requested tier when the binary lacks the wider
-/// instantiation, and individual entries may point at the scalar kernel
-/// when the tier's wrapper would spill (see bank_kernels_base.cpp).
+/// One tier's kernel table.
 struct Kernels {
-  simd::Tier tier = simd::Tier::kScalar;
-  Count lanes = 1;
-
   /// out[j] = |base - src[j]| for j in [0, count). No per-pair overflow
   /// checks: the caller bounds max(z)-min(z) with abs_diff_checked before
   /// the pair pass, and every pairwise difference is <= that spread.
@@ -51,7 +45,8 @@ struct Kernels {
                         Count* probes) = nullptr;
 };
 
-/// The kernel table for `tier`, clamped to what this binary instantiates.
+/// The kernel table for `tier`; scalar when this binary lacks the AVX2
+/// instantiation.
 const Kernels& kernels_for(simd::Tier tier);
 
 /// Implemented only in bank_kernels_avx2.cpp (x86-64 builds).

@@ -12,7 +12,7 @@
 namespace mempart::bank {
 
 const Kernels& avx2_kernels() {
-  static const Kernels kernels = make_kernels<simd::I64x4>(simd::Tier::kAvx2);
+  static const Kernels kernels = make_kernels<simd::I64x4>();
   return kernels;
 }
 

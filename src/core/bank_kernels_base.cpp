@@ -1,44 +1,16 @@
-// Scalar, SSE2 and NEON instantiations of the bank-search kernels, plus
-// the tier dispatch table. The AVX2 instantiation lives in
-// bank_kernels_avx2.cpp (its own translation unit compiled with -mavx2);
-// this file only calls through its table when CMake compiled it in, so a
-// build without the AVX2 unit still links and clamps avx2 requests down
-// to SSE2.
+// Scalar instantiation of the bank-search kernels, plus the tier dispatch
+// table. The AVX2 instantiation lives in bank_kernels_avx2.cpp (its own
+// translation unit compiled with -mavx2); this file only calls through its
+// table when CMake compiled it in, so a build without the AVX2 unit still
+// links and runs avx2 requests on the scalar kernels.
 #include "core/bank_kernels_impl.h"
 
 namespace mempart::bank {
 
 const Kernels& kernels_for(simd::Tier tier) {
-  static const Kernels scalar = make_kernels<simd::I64x1>(simd::Tier::kScalar);
-#if defined(MEMPART_SIMD_X86)
-  // SSE2 keeps the vector pair scan and divisibility probe (mullo is real
-  // 32x32 partial products; the leu spill is two stores against a saved
-  // division) but probes the bitset with the scalar kernel: gather AND
-  // shl1 both spill per lane there, losing to one scalar shift.
-  static const Kernels sse2 = [] {
-    Kernels k = make_kernels<simd::I64x2>(simd::Tier::kSse2);
-    k.table_has_multiple = scalar.table_has_multiple;
-    return k;
-  }();
-  if (tier == simd::Tier::kAvx2) {
+  static const Kernels scalar = make_kernels<simd::I64x1>();
 #if defined(MEMPART_HAVE_AVX2_BANK_KERNELS)
-    return avx2_kernels();
-#else
-    return sse2;
-#endif
-  }
-  if (tier == simd::Tier::kSse2) return sse2;
-#elif defined(MEMPART_SIMD_NEON)
-  // NEON: vector pair scan, scalar probes — the bitset probe spills on
-  // gather/shl1 like SSE2, and mullo spills too (no 64-bit vector
-  // multiply), which forfeits the divisibility probe's win.
-  static const Kernels neon = [] {
-    Kernels k = make_kernels<simd::I64x2>(simd::Tier::kNeon);
-    k.table_has_multiple = scalar.table_has_multiple;
-    k.any_divisible = scalar.any_divisible;
-    return k;
-  }();
-  if (tier == simd::Tier::kNeon) return neon;
+  if (tier == simd::Tier::kAvx2) return avx2_kernels();
 #endif
   (void)tier;
   return scalar;

@@ -1,6 +1,6 @@
 // Template bodies of the bank-search kernels, instantiated per lane type
-// by bank_kernels_base.cpp / bank_kernels_avx2.cpp. Included only by those
-// translation units.
+// by bank_kernels_base.cpp (scalar) / bank_kernels_avx2.cpp. Included only
+// by those translation units.
 //
 // All three kernels share one shape: a vector main loop over V::kLanes
 // elements followed by a scalar tail, with the scalar instantiation
@@ -120,10 +120,8 @@ bool any_divisible(const std::int64_t* diffs, Count count, Count divisor,
 }
 
 template <typename V>
-Kernels make_kernels(simd::Tier tier) {
+Kernels make_kernels() {
   Kernels k;
-  k.tier = tier;
-  k.lanes = V::kLanes;
   k.abs_diff_row = &abs_diff_row<V>;
   k.table_has_multiple = &table_has_multiple<V>;
   k.any_divisible = &any_divisible<V>;

@@ -25,9 +25,9 @@ struct BankedConvolveResult {
 /// Runs `kernel` over `input` with every sample fetched from the banked
 /// layout defined by `map`. `map.array_shape()` must equal `input.shape()`.
 /// Uses the compiled AccessPlan fast path when the map supports it (banks
-/// and offsets from incremental updates, one issue_batch per row); otherwise
-/// falls back to convolve_banked_reference. Output and statistics are
-/// bit-identical either way.
+/// and offsets from incremental updates, one issue_batch_soa per row);
+/// otherwise falls back to convolve_banked_reference. Output and statistics
+/// are bit-identical either way.
 [[nodiscard]] BankedConvolveResult convolve_banked(const Image& input,
                                                    const Kernel& kernel,
                                                    const sim::AddressMap& map,

@@ -116,6 +116,19 @@ std::string metrics_json(const Registry& registry) {
     }
     os << '}';
   }
+  // Latency series carry the same fields as the NDJSON snapshot's
+  // "latency" section (obs/snapshot.cpp).
+  os << "\n},\n\"latency\":{";
+  first = true;
+  for (const auto& [name, snap] : registry.latencies()) {
+    if (!first) os << ',';
+    first = false;
+    os << "\n  \"" << json_escape(name) << "\":{\"count\":" << snap.count
+       << ",\"sum\":" << snap.sum << ",\"min\":" << snap.min
+       << ",\"max\":" << snap.max << ",\"p50\":" << snap.p50()
+       << ",\"p90\":" << snap.p90() << ",\"p99\":" << snap.p99()
+       << ",\"p999\":" << snap.p999() << '}';
+  }
   os << "\n}\n}\n";
   return os.str();
 }

@@ -6,9 +6,10 @@
 //     the file in chrome://tracing or https://ui.perfetto.dev to see the
 //     solver/simulator span hierarchy on a timeline.
 //   - metrics_json(): the whole registry as one JSON object with
-//     "counters", "gauges" and "histograms" sections; histograms carry
-//     bucket upper bounds, per-bucket counts (overflow last), and
-//     count/sum/min/max.
+//     "counters", "gauges", "histograms" and "latency" sections;
+//     histograms carry bucket upper bounds, per-bucket counts (overflow
+//     last), and count/sum/min/max; latency series carry count, sum, min,
+//     max, p50, p90, p99 and p999.
 // trace_text_report() renders the same spans as an indented plain-text
 // tree for terminal use.
 #pragma once

@@ -311,7 +311,15 @@ ServeSummary Server::run_socket() {
   }
 
   start_workers();
-  std::vector<std::thread> readers;
+  // One reader thread per connection. Each flags its own exit, and the
+  // accept loop joins flagged readers: an exited thread that is never
+  // joined keeps its stack mapped, so without the reaping a long-lived
+  // daemon would hold one stack per connection it ever accepted.
+  struct Reader {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
+  std::vector<Reader> readers;
   // weak_ptrs so a closed connection's fd is released as soon as its reader
   // and last in-flight response drop it, not at server shutdown.
   std::vector<std::weak_ptr<Connection>> live;
@@ -335,9 +343,21 @@ ServeSummary Server::run_socket() {
       return w.expired();
     });
     live.push_back(connection);
-    readers.emplace_back([this, connection = std::move(connection)] {
-      serve_connection(connection);
-    });
+    for (auto it = readers.begin(); it != readers.end();) {
+      if (it->done->load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = readers.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    auto done = std::make_shared<std::atomic<bool>>(false);
+    readers.push_back(
+        {std::thread([this, connection = std::move(connection), done] {
+           serve_connection(connection);
+           done->store(true, std::memory_order_release);
+         }),
+         done});
   }
   ::close(listen_fd);
   ::unlink(path.c_str());
@@ -350,7 +370,7 @@ ServeSummary Server::run_socket() {
       ::shutdown(conn->fd, SHUT_RD);
     }
   }
-  for (std::thread& reader : readers) reader.join();
+  for (Reader& reader : readers) reader.thread.join();
   queue_.close();
   join_workers();
   drained_.store(true, std::memory_order_release);

@@ -33,7 +33,7 @@ AccessEngine::AccessEngine(const AddressMap& map, Count ports_per_bank)
   stamp_.assign(demand_.size(), Count{-1});
 }
 
-// mempart-lint: allow(obs-span) per-iteration hot path; the per-group histogram below is the observation point, a span per group would dominate runtime (mempart-analyze: allow(span-coverage) same contract)
+// mempart-analyze: allow(span-coverage) per-iteration hot path; the per-group histogram below is the observation point, a span per group would dominate runtime
 Count AccessEngine::issue(const std::vector<NdIndex>& group) {
   MEMPART_REQUIRE(!group.empty(), "AccessEngine::issue: empty group");
   std::fill(demand_.begin(), demand_.end(), Count{0});
@@ -60,57 +60,6 @@ Count AccessEngine::issue(const std::vector<NdIndex>& group) {
   obs::observe("sim.conflict_cycles_per_group",
                static_cast<double>(group_cycles - 1), kConflictBounds);
   return group_cycles;
-}
-
-Count AccessEngine::issue_batch(std::span<const Count> banks,
-                                Count group_size) {
-  MEMPART_REQUIRE(group_size >= 1, "AccessEngine::issue_batch: group_size");
-  MEMPART_REQUIRE(banks.size() % static_cast<size_t>(group_size) == 0,
-                  "AccessEngine::issue_batch: banks not a whole number of "
-                  "groups");
-  obs::Span span("sim.issue_batch");
-  span.arg("banks", static_cast<Count>(banks.size())).arg("group", group_size);
-  obs::LatencyTimer timer("sim.issue_batch.ns");
-  static const std::vector<double> kConflictBounds = obs::pow2_bounds(8);
-  const Count num_banks = map_.num_banks();
-  Count batch_cycles = 0;
-  for (size_t base = 0; base < banks.size();
-       base += static_cast<size_t>(group_size)) {
-    // Branch-free range check, one assert per group instead of one branch
-    // per element: bank and (num_banks - 1 - bank) are both non-negative
-    // exactly when the bank is in [0, num_banks), so a sign test on the
-    // OR-accumulate covers the whole group.
-    Count range_acc = 0;
-    for (Count i = 0; i < group_size; ++i) {
-      const Count bank = banks[base + static_cast<size_t>(i)];
-      range_acc |= bank | (num_banks - 1 - bank);
-    }
-    MEMPART_ASSERT(range_acc >= 0, "issue_batch: bank out of range in group");
-    // Epoch stamping replaces the per-group std::fill of demand_: a bank's
-    // count is live only when its stamp matches the current group's epoch.
-    const Count epoch = epoch_++;
-    Count worst = 0;
-    for (Count i = 0; i < group_size; ++i) {
-      const Count bank = banks[base + static_cast<size_t>(i)];
-      const auto slot = static_cast<size_t>(bank);
-      const Count d = stamp_[slot] == epoch ? demand_[slot] + 1 : Count{1};
-      demand_[slot] = d;
-      stamp_[slot] = epoch;
-      ++stats_.bank_load[slot];
-      worst = std::max(worst, d);
-    }
-    const Count group_cycles = ceil_div(worst, ports_);
-    ++stats_.iterations;
-    stats_.accesses += group_size;
-    stats_.cycles += group_cycles;
-    stats_.conflict_cycles += group_cycles - 1;
-    stats_.worst_group_cycles =
-        std::max(stats_.worst_group_cycles, group_cycles);
-    obs::observe("sim.conflict_cycles_per_group",
-                 static_cast<double>(group_cycles - 1), kConflictBounds);
-    batch_cycles += group_cycles;
-  }
-  return batch_cycles;
 }
 
 Count AccessEngine::issue_batch_soa(std::span<const Count> banks, Count taps,
@@ -189,9 +138,10 @@ Count AccessEngine::issue_batch_soa(std::span<const Count> banks, Count taps,
   } else {
     // Exact scalar path: more than 64 banks (occupancy no longer fits one
     // word) or metrics enabled (the per-group histogram observation below
-    // must fire for every group, as issue_batch does). Validate every plane
+    // must fire for every group, as issue() does). Validate every plane
     // before scoring touches a table: branch-free OR-accumulate, one assert
-    // per tap plane (same sign trick as issue_batch's per-group check).
+    // per tap plane — bank and (num_banks - 1 - bank) are both non-negative
+    // exactly when the bank is in [0, num_banks).
     for (size_t t = 0; t < static_cast<size_t>(taps); ++t) {
       const Count* row = banks.data() + t * plane;
       Count range_acc = 0;
@@ -229,7 +179,7 @@ Count AccessEngine::issue_batch_soa(std::span<const Count> banks, Count taps,
   return batch_cycles;
 }
 
-// mempart-lint: allow(obs-span) trivial state reset; nothing worth tracing (mempart-analyze: allow(span-coverage) same contract)
+// mempart-analyze: allow(span-coverage) trivial state reset; nothing worth tracing
 void AccessEngine::reset() {
   stats_ = AccessStats{};
   stats_.bank_load.assign(static_cast<size_t>(map_.num_banks()), 0);

@@ -47,21 +47,17 @@ class AccessEngine {
   /// this group needed. Addresses must lie in the array domain.
   Count issue(const std::vector<NdIndex>& group);
 
-  /// Issues `banks.size() / group_size` consecutive groups of pre-resolved
-  /// bank indices (group-major, as AccessPlan emits them); returns the cycles
-  /// the whole batch needed. Produces statistics identical to calling
-  /// issue() once per group, but skips the per-group demand-vector clear
-  /// (epoch-stamped counting) and all address resolution.
-  Count issue_batch(std::span<const Count> banks, Count group_size);
-
-  /// Issues a whole SoA row block (tap-major, as AccessPlan's block walk
-  /// emits it: tap t's banks for all groups at [t * groups, (t+1) * groups)).
-  /// Statistics are bit-identical to issue_batch over the same groups. For
-  /// N <= 64 banks with metrics disabled, conflict-free groups are detected
-  /// by a vectorized bank-occupancy bitmask (one 64-bit occupancy word per
-  /// group, SIMD across groups) and cost exactly one cycle each; only the
-  /// collided groups fall back to exact epoch-stamped demand counting.
-  /// N > 64 or metrics enabled takes the exact scalar path throughout.
+  /// Issues a whole SoA row block of pre-resolved bank indices (tap-major,
+  /// as AccessPlan's block walk emits it: tap t's banks for all groups at
+  /// [t * groups, (t+1) * groups)); returns the cycles the block needed.
+  /// Statistics are bit-identical to calling issue() once per group, but
+  /// it skips all address resolution and the per-group demand-vector clear
+  /// (epoch-stamped counting). For N <= 64 banks with metrics disabled,
+  /// conflict-free groups are detected by a vectorized bank-occupancy
+  /// bitmask (one 64-bit occupancy word per group, SIMD across groups) and
+  /// cost exactly one cycle each; only the collided groups fall back to
+  /// exact epoch-stamped demand counting. N > 64 or metrics enabled takes
+  /// the exact scalar path throughout.
   MEMPART_NOALLOC Count issue_batch_soa(std::span<const Count> banks,
                                         Count taps, Count groups);
 
@@ -77,7 +73,7 @@ class AccessEngine {
   AccessStats stats_;
   std::vector<Count> demand_;  ///< scratch: per-bank demand of current group
   std::vector<Count> stamp_;   ///< scratch: epoch a bank's demand was touched
-  Count epoch_ = 0;            ///< current issue_batch group epoch
+  Count epoch_ = 0;            ///< current issue_batch_soa group epoch
   std::vector<unsigned char> collided_;  ///< scratch: per-group conflict flags
 };
 

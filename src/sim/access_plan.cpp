@@ -1,6 +1,7 @@
 #include "sim/access_plan.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/errors.h"
 #include "common/math_util.h"
@@ -93,21 +94,19 @@ void AccessPlan::compile(const Pattern& reads) {
     // SIMD stride tables: the scalar recurrence invariant holds for any
     // fixed increment (span is a multiple of N), so a W-lane kernel steps
     // each lane by W*inc_v while lane i starts i*inc_v ahead of the row
-    // state. Precompute the reduced increments for every width a dispatch
-    // tier can ask for.
-    for (size_t wi = 0; wi < widths_.size(); ++wi) {
-      const Count width = Count{1} << wi;
-      WidthTable& table = widths_[wi];
+    // state. Precompute the reduced increments for both dispatch widths.
+    for (auto [table, width] : {std::pair{&scalar_width_, Count{1}},
+                                std::pair{&wide_width_, simd::kMaxLanes}}) {
       const Address inc_w = checked_mul(inc_v_, width);
-      table.inc_vmod = euclid_mod(inc_w, span_);
-      table.inc_bank = euclid_mod(inc_w, modulus_);
-      table.inc_q = table.inc_vmod / modulus_;
+      table->inc_vmod = euclid_mod(inc_w, span_);
+      table->inc_bank = euclid_mod(inc_w, modulus_);
+      table->inc_q = table->inc_vmod / modulus_;
       for (Count lane = 0; lane < width; ++lane) {
         const Address lane_v = checked_mul(inc_v_, lane);
         const size_t slot = static_cast<size_t>(lane);
-        table.lane_vmod[slot] = euclid_mod(lane_v, span_);
-        table.lane_bank[slot] = euclid_mod(lane_v, modulus_);
-        table.lane_q[slot] = table.lane_vmod[slot] / modulus_;
+        table->lane_vmod[slot] = euclid_mod(lane_v, span_);
+        table->lane_bank[slot] = euclid_mod(lane_v, modulus_);
+        table->lane_q[slot] = table->lane_vmod[slot] / modulus_;
       }
     }
     for (Tap& tap : taps_) {
@@ -184,177 +183,6 @@ void AccessPlan::compile(const Pattern& reads) {
   kind_ = Kind::kGeneric;
 }
 
-template <bool WithOffsets, typename Visit>
-void AccessPlan::walk_generic(const Visit& visit) const {
-  const int n = static_cast<int>(domain_.size());
-  const size_t m = taps_.size();
-  const Count groups = groups_per_row();
-  const Coord inner_step = domain_.back().step;
-  std::vector<Count> banks(m * static_cast<size_t>(groups));
-  std::vector<Address> offsets(WithOffsets ? banks.size() : 0);
-
-  NdIndex row(static_cast<size_t>(n));
-  for (int d = 0; d < n; ++d) {
-    if (trip_count(domain_[static_cast<size_t>(d)]) == 0) return;
-    row[static_cast<size_t>(d)] = domain_[static_cast<size_t>(d)].lower;
-  }
-  NdIndex x(static_cast<size_t>(n));
-  for (;;) {
-    for (size_t t = 0; t < m; ++t) {
-      x = add(row, taps_[t].delta);
-      for (Count g = 0; g < groups; ++g) {
-        const size_t slot = static_cast<size_t>(g) * m + t;
-        banks[slot] = map_->bank_of(x);
-        if constexpr (WithOffsets) offsets[slot] = map_->offset_of(x);
-        x[static_cast<size_t>(n - 1)] += inner_step;
-      }
-    }
-    if constexpr (WithOffsets) {
-      visit(row, std::span<const Count>(banks),
-            std::span<const Address>(offsets));
-    } else {
-      visit(row, std::span<const Count>(banks));
-    }
-    int d = n - 2;
-    for (; d >= 0; --d) {
-      const PlanLoop& loop = domain_[static_cast<size_t>(d)];
-      Coord& coord = row[static_cast<size_t>(d)];
-      coord += loop.step;
-      if (coord <= loop.upper) break;
-      coord = loop.lower;
-    }
-    if (d < 0) return;
-  }
-}
-
-template <bool WithOffsets, typename Visit>
-void AccessPlan::walk(const Visit& visit) const {
-  if (kind_ == Kind::kGeneric) {
-    walk_generic<WithOffsets>(visit);
-    return;
-  }
-  const int n = static_cast<int>(domain_.size());
-  const size_t m = taps_.size();
-  const Count groups = groups_per_row();
-  const Coord inner_step = domain_.back().step;
-  std::vector<Count> banks(m * static_cast<size_t>(groups), 0);
-  std::vector<Address> offsets(WithOffsets ? banks.size() : 0);
-
-  NdIndex row(static_cast<size_t>(n));
-  for (int d = 0; d < n; ++d) {
-    if (trip_count(domain_[static_cast<size_t>(d)]) == 0) return;
-    row[static_cast<size_t>(d)] = domain_[static_cast<size_t>(d)].lower;
-  }
-
-  NdIndex x(static_cast<size_t>(n));  // scratch for compact-tail oracle calls
-  for (;;) {
-    if (kind_ == Kind::kFlat) {
-      // Single bank: banks stay zero; only the linear offset advances.
-      if constexpr (WithOffsets) {
-        Address base = 0;
-        for (size_t d = 0; d < static_cast<size_t>(n); ++d) {
-          base += flat_stride_[d] * row[d];
-        }
-        for (size_t t = 0; t < m; ++t) {
-          Address off = base + taps_[t].v_bias;
-          for (Count g = 0; g < groups; ++g) {
-            offsets[static_cast<size_t>(g) * m + t] = off;
-            off += flat_inc_;
-          }
-        }
-      }
-    } else {
-      Address v_base = 0;
-      Address lead_base = 0;
-      for (size_t d = 0; d < static_cast<size_t>(n); ++d) {
-        v_base += alpha_[d] * row[d];
-        lead_base += lead_stride_[d] * row[d];
-      }
-      for (size_t t = 0; t < m; ++t) {
-        const Tap& tap = taps_[t];
-        // Row-start state: one mod/div pair per tap per row; everything
-        // after this is add-and-conditional-subtract.
-        Count vmod = euclid_mod(v_base + tap.v_bias, span_);
-        Count bank = vmod % modulus_;
-        Count xnew = vmod / modulus_;
-        const Address off_base = (lead_base + tap.lead_bias) * slices_;
-
-        Count fast_groups = groups;
-        if (kind_ == Kind::kCompact) {
-          // Innermost element coordinate crosses into the compact tail at
-          // e = tail_start_; everything from that group on takes the
-          // oracle path (fewer than N positions per row).
-          const Coord e0 = row[static_cast<size_t>(n - 1)] + tap.inner_delta;
-          if (e0 >= tail_start_) {
-            fast_groups = 0;
-          } else {
-            fast_groups =
-                std::min<Count>(groups, ceil_div(tail_start_ - e0, inner_step));
-          }
-        }
-        Count g = 0;
-        for (; g < fast_groups; ++g) {
-          const size_t slot = static_cast<size_t>(g) * m + t;
-          if (kind_ == Kind::kFolded) {
-            banks[slot] = fold_bank_[static_cast<size_t>(bank)];
-            if constexpr (WithOffsets) {
-              offsets[slot] =
-                  off_base + xnew + fold_offset_[static_cast<size_t>(bank)];
-            }
-          } else {
-            banks[slot] = bank;
-            if constexpr (WithOffsets) offsets[slot] = off_base + xnew;
-          }
-          vmod += inc_vmod_;
-          Count wrap = 0;
-          if (vmod >= span_) {
-            vmod -= span_;
-            wrap = 1;
-          }
-          bank += inc_bank_;
-          Count carry = 0;
-          if (bank >= modulus_) {
-            bank -= modulus_;
-            carry = 1;
-          }
-          xnew += inc_q_ + carry - wrap * slices_;
-        }
-        for (; g < groups; ++g) {
-          // Compact-tail slot: bank is still the incremental value; the
-          // offset needs the per-bank tail rank, which only the mapping's
-          // lazily built index knows.
-          const size_t slot = static_cast<size_t>(g) * m + t;
-          banks[slot] = bank;
-          if constexpr (WithOffsets) {
-            x = add(row, tap.delta);
-            x[static_cast<size_t>(n - 1)] += g * inner_step;
-            offsets[slot] = map_->offset_of(x);
-          }
-          vmod += inc_vmod_;
-          if (vmod >= span_) vmod -= span_;
-          bank += inc_bank_;
-          if (bank >= modulus_) bank -= modulus_;
-        }
-      }
-    }
-    if constexpr (WithOffsets) {
-      visit(row, std::span<const Count>(banks),
-            std::span<const Address>(offsets));
-    } else {
-      visit(row, std::span<const Count>(banks));
-    }
-    int d = n - 2;
-    for (; d >= 0; --d) {
-      const PlanLoop& loop = domain_[static_cast<size_t>(d)];
-      Coord& coord = row[static_cast<size_t>(d)];
-      coord += loop.step;
-      if (coord <= loop.upper) break;
-      coord = loop.lower;
-    }
-    if (d < 0) return;
-  }
-}
-
 template <bool WithOffsets>
 void AccessPlan::walk_block(const RowBlockVisitor& visit) const {
   const int n = static_cast<int>(domain_.size());
@@ -379,10 +207,13 @@ void AccessPlan::walk_block(const RowBlockVisitor& visit) const {
     row[static_cast<size_t>(d)] = domain_[static_cast<size_t>(d)].lower;
   }
 
-  if (kind_ == Kind::kGeneric) {
-    // Per-access virtual fallback, emitted straight into the SoA layout.
-    NdIndex x(static_cast<size_t>(n));
-    for (;;) {
+  const soa::Kernels& kernels = soa::kernels_for(simd::active_tier());
+  const WidthTable& table = kernels.lanes == 1 ? scalar_width_ : wide_width_;
+
+  NdIndex x(static_cast<size_t>(n));  // scratch for oracle calls
+  for (;;) {
+    if (kind_ == Kind::kGeneric) {
+      // Per-access virtual fallback, emitted straight into the SoA layout.
       for (size_t t = 0; t < m; ++t) {
         x = add(row, taps_[t].delta);
         Count* bank_plane = banks.data() + t * plane;
@@ -393,27 +224,7 @@ void AccessPlan::walk_block(const RowBlockVisitor& visit) const {
           x[static_cast<size_t>(n - 1)] += inner_step;
         }
       }
-      visit(row, block);
-      int d = n - 2;
-      for (; d >= 0; --d) {
-        const PlanLoop& loop = domain_[static_cast<size_t>(d)];
-        Coord& coord = row[static_cast<size_t>(d)];
-        coord += loop.step;
-        if (coord <= loop.upper) break;
-        coord = loop.lower;
-      }
-      if (d < 0) return;
-    }
-  }
-
-  const soa::Kernels& kernels = soa::kernels_for(simd::active_tier());
-  size_t width_index = 0;
-  while ((Count{1} << width_index) < kernels.lanes) ++width_index;
-  const WidthTable& table = widths_[width_index];
-
-  NdIndex x(static_cast<size_t>(n));  // scratch for compact-tail oracle calls
-  for (;;) {
-    if (kind_ == Kind::kFlat) {
+    } else if (kind_ == Kind::kFlat) {
       // Single bank: the bank planes stay zero; only offsets advance.
       if constexpr (WithOffsets) {
         Address base = 0;
@@ -501,14 +312,6 @@ void AccessPlan::walk_block(const RowBlockVisitor& visit) const {
     }
     if (d < 0) return;
   }
-}
-
-void AccessPlan::for_each_row(const RowVisitor& visit) const {
-  walk<true>(visit);
-}
-
-void AccessPlan::for_each_row_banks(const RowBankVisitor& visit) const {
-  walk<false>(visit);
 }
 
 void AccessPlan::for_each_row_block(const RowBlockVisitor& visit) const {

@@ -26,8 +26,9 @@
 // LtbAddressMap and FlatAddressMap; anything else falls back to a generic
 // per-access virtual walk so callers never need two code paths. The
 // reference AddressMap path stays in the tree as the oracle — the property
-// tests and bench_fastpath assert bit-identical banks, offsets and cycle
-// statistics between the two.
+// tests and the differential harness check every bank and offset of the
+// block walk against bank_of / offset_of, and bench_fastpath asserts
+// bit-identical cycle statistics between the two.
 #pragma once
 
 #include <array>
@@ -77,24 +78,6 @@ class AccessPlan {
   /// Total iteration count of the domain.
   [[nodiscard]] Count total_groups() const;
 
-  /// Per-row visitor: `row_start` is the first iteration vector of the row
-  /// and the spans hold group-major compiled addresses for all of its
-  /// groups_per_row() iterations — tap t of group g at index g * taps() + t.
-  /// The spans are only valid inside the callback.
-  using RowVisitor = std::function<void(
-      const NdIndex& row_start, std::span<const Count> banks,
-      std::span<const Address> offsets)>;
-
-  /// Banks-only variant for cycle accounting (skips offset generation).
-  using RowBankVisitor = std::function<void(const NdIndex& row_start,
-                                            std::span<const Count> banks)>;
-
-  /// Walks the whole domain row by row, emitting banks and offsets.
-  void for_each_row(const RowVisitor& visit) const;
-
-  /// Walks the whole domain row by row, emitting banks only.
-  void for_each_row_banks(const RowBankVisitor& visit) const;
-
   /// One row in structure-of-arrays (tap-major) form: tap t's values for
   /// all groups are contiguous at plane [t * groups, (t + 1) * groups).
   /// The SIMD kernels store whole lane vectors into these planes, and SoA
@@ -121,9 +104,9 @@ class AccessPlan {
       std::function<void(const NdIndex& row_start, const RowBlock& block)>;
 
   /// Walks the whole domain row by row in SoA form, generating each plane
-  /// with the simd::active_tier() kernels. Produces banks and offsets
-  /// bit-identical to for_each_row (the scalar group-major walk) under
-  /// every dispatch tier — pinned by the differential harness and the
+  /// with the simd::active_tier() kernels. Under every dispatch tier the
+  /// banks and offsets equal AddressMap::bank_of / offset_of of each access
+  /// — pinned by the differential harness and the AccessPlan /
   /// AccessPlanSimd property tests.
   void for_each_row_block(const RowBlockVisitor& visit) const;
 
@@ -147,18 +130,15 @@ class AccessPlan {
     Coord inner_delta = 0;  ///< Delta_{n-1}
   };
 
-  template <bool WithOffsets, typename Visit>
-  void walk(const Visit& visit) const;
-  template <bool WithOffsets, typename Visit>
-  void walk_generic(const Visit& visit) const;
   template <bool WithOffsets>
   void walk_block(const RowBlockVisitor& visit) const;
 
   void compile(const Pattern& reads);
 
-  /// Stride table for one SIMD lane width W (widths 1, 2, 4, 8 precomputed
-  /// at compile() time, indexed by log2 W): inc_* advance a lane by W
-  /// innermost steps, lane_* spread the row-start state across the lanes.
+  /// Stride table for one SIMD lane width W (widths 1 and simd::kMaxLanes,
+  /// one per dispatch tier, precomputed at compile() time): inc_* advance
+  /// a lane by W innermost steps, lane_* spread the row-start state across
+  /// the lanes.
   struct WidthTable {
     Count inc_vmod = 0;
     Count inc_bank = 0;
@@ -185,7 +165,8 @@ class AccessPlan {
   Count inc_vmod_ = 0;
   Count inc_bank_ = 0;
   Count inc_q_ = 0;
-  std::array<WidthTable, 4> widths_{};  ///< per-lane-width SIMD strides
+  WidthTable scalar_width_;  ///< W = 1
+  WidthTable wide_width_;    ///< W = simd::kMaxLanes
   // Folding tables over the raw bank index in [0, modulus_).
   std::vector<Count> fold_bank_;
   std::vector<Address> fold_offset_;

@@ -5,9 +5,9 @@
 // table of function pointers selected once per walk from the active
 // mempart::simd tier. Each kernel is written once as a template over a lane
 // wrapper (common/simd.h) and instantiated per tier in its own translation
-// unit — soa_kernels_base.cpp for scalar/SSE2/NEON, soa_kernels_avx2.cpp
-// compiled with -mavx2 — so AVX2 instructions never leak into code paths a
-// pre-AVX2 CPU could reach.
+// unit — soa_kernels_base.cpp for scalar, soa_kernels_avx2.cpp compiled
+// with -mavx2 — so AVX2 instructions never leak into code paths a pre-AVX2
+// CPU could reach.
 //
 // The lane-parallel recurrence: the scalar fast path advances
 // (vmod, bank, xnew) by one innermost step via add-and-conditional-
@@ -61,12 +61,9 @@ struct FoldArgs {
   const Address* fold_offset = nullptr;
 };
 
-/// One tier's kernel table. `tier` is what the table actually implements —
-/// it can be narrower than the requested tier when the binary lacks the
-/// wider instantiation.
+/// One tier's kernel table.
 struct Kernels {
-  simd::Tier tier = simd::Tier::kScalar;
-  Count lanes = 1;
+  Count lanes = 1;  ///< 1 (scalar) or simd::kMaxLanes (AVX2)
   /// Emits `args.groups` banks (and offsets when non-null) for one tap row.
   void (*linear_row)(const LinearRowArgs& args, std::int64_t* banks,
                      std::int64_t* offsets) = nullptr;
@@ -87,7 +84,8 @@ struct Kernels {
                            bool* in_range) = nullptr;
 };
 
-/// The kernel table for `tier`, clamped to what this binary instantiates.
+/// The kernel table for `tier`; scalar when this binary lacks the AVX2
+/// instantiation.
 const Kernels& kernels_for(simd::Tier tier);
 
 /// Implemented only in soa_kernels_avx2.cpp (x86-64 builds).

@@ -1,40 +1,16 @@
-// Scalar, SSE2 and NEON instantiations of the SoA kernels, plus the tier
-// dispatch table. The AVX2 instantiation lives in soa_kernels_avx2.cpp
-// (its own translation unit compiled with -mavx2); this file only calls
-// through its table when CMake compiled it in, so a build without the AVX2
-// unit still links and clamps avx2 requests down to SSE2.
+// Scalar instantiation of the SoA kernels, plus the tier dispatch table.
+// The AVX2 instantiation lives in soa_kernels_avx2.cpp (its own translation
+// unit compiled with -mavx2); this file only calls through its table when
+// CMake compiled it in, so a build without the AVX2 unit still links and
+// runs avx2 requests on the scalar kernels.
 #include "sim/soa_kernels_impl.h"
 
 namespace mempart::sim::soa {
 
 const Kernels& kernels_for(simd::Tier tier) {
-  static const Kernels scalar =
-      make_kernels<simd::I64x1>(simd::Tier::kScalar);
-#if defined(MEMPART_SIMD_X86)
-  // SSE2 has no 64-bit variable shift: the 2-lane shl1 spills to the stack
-  // per element and loses to the scalar scorer, so the SSE2 table keeps the
-  // vector generation kernels but scores conflicts with the scalar one.
-  static const Kernels sse2 = [] {
-    Kernels k = make_kernels<simd::I64x2>(simd::Tier::kSse2);
-    k.find_collisions = scalar.find_collisions;
-    return k;
-  }();
-  if (tier == simd::Tier::kAvx2) {
+  static const Kernels scalar = make_kernels<simd::I64x1>();
 #if defined(MEMPART_HAVE_AVX2_KERNELS)
-    return avx2_kernels();
-#else
-    return sse2;
-#endif
-  }
-  if (tier == simd::Tier::kSse2) return sse2;
-#elif defined(MEMPART_SIMD_NEON)
-  // Same spilled-shl1 story as SSE2: score with the scalar kernel.
-  static const Kernels neon = [] {
-    Kernels k = make_kernels<simd::I64x2>(simd::Tier::kNeon);
-    k.find_collisions = scalar.find_collisions;
-    return k;
-  }();
-  if (tier == simd::Tier::kNeon) return neon;
+  if (tier == simd::Tier::kAvx2) return avx2_kernels();
 #endif
   (void)tier;
   return scalar;

@@ -171,9 +171,8 @@ Count find_collisions(const std::int64_t* banks, Count taps, Count groups,
 }
 
 template <class V>
-constexpr Kernels make_kernels(simd::Tier tier) {
+constexpr Kernels make_kernels() {
   Kernels kernels;
-  kernels.tier = tier;
   kernels.lanes = V::kLanes;
   kernels.linear_row = &linear_row<V>;
   kernels.flat_row = &flat_row<V>;

@@ -128,9 +128,25 @@ TEST_F(EnvParsingTest, ValidateEnvChecksTheSimdTierSpelling) {
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("MEMPART_SIMD"), std::string::npos);
   }
-  for (const char* good : {"scalar", "sse2", "avx2", "neon", "auto"}) {
+  for (const char* good : {"scalar", "avx2", "auto"}) {
     ::setenv("MEMPART_SIMD", good, 1);
     EXPECT_NO_THROW(validate_env()) << good;
+  }
+}
+
+TEST_F(EnvParsingTest, ValidateEnvRejectsTheRetiredSimdTiers) {
+  // The 128-bit tiers are gone: their names must fail loudly rather than
+  // quietly select a different tier, and the diagnostic lists what remains.
+  for (const char* retired : {"sse2", "neon"}) {
+    ::setenv("MEMPART_SIMD", retired, 1);
+    try {
+      validate_env();
+      FAIL() << retired << " must be rejected";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MEMPART_SIMD"), std::string::npos) << what;
+      EXPECT_NE(what.find("scalar, avx2 or auto"), std::string::npos) << what;
+    }
   }
 }
 

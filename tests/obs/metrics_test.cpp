@@ -7,6 +7,7 @@
 
 #include "common/errors.h"
 #include "json_check.h"
+#include "obs/histogram.h"
 #include "obs/sinks.h"
 #include "obs/trace.h"
 
@@ -137,6 +138,23 @@ TEST_F(MetricsTest, EmptyRegistryExportsValidJson) {
   EXPECT_TRUE(root.at("counters").members.empty());
   EXPECT_TRUE(root.at("gauges").members.empty());
   EXPECT_TRUE(root.at("histograms").members.empty());
+}
+
+TEST_F(MetricsTest, JsonExportsLatencySeries) {
+  // The file export carries the latency series the NDJSON sample and the
+  // OpenMetrics export already carry, with the same fields.
+  LatencyHistogram& solve = Registry::instance().latency("solve.ns");
+  for (const std::int64_t ns : {10, 20, 30, 40, 1000}) solve.record(ns);
+  const JsonValue root = JsonParser::parse(metrics_json());
+  const JsonValue& series = root.at("latency").at("solve.ns");
+  EXPECT_DOUBLE_EQ(series.at("count").number, 5.0);
+  EXPECT_DOUBLE_EQ(series.at("sum").number, 1100.0);
+  EXPECT_DOUBLE_EQ(series.at("min").number, 10.0);
+  EXPECT_DOUBLE_EQ(series.at("max").number, 1000.0);
+  EXPECT_DOUBLE_EQ(series.at("p50").number, 30.0);
+  EXPECT_DOUBLE_EQ(series.at("p90").number, 1000.0);
+  EXPECT_DOUBLE_EQ(series.at("p99").number, 1000.0);
+  EXPECT_DOUBLE_EQ(series.at("p999").number, 1000.0);
 }
 
 TEST_F(MetricsTest, Pow2Bounds) {

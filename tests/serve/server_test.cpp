@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -204,6 +205,53 @@ TEST(ServeServer, SocketModeServesConnectionsIndependently) {
   EXPECT_TRUE(summary.drained);
   EXPECT_EQ(summary.connections, 2);
   EXPECT_EQ(summary.solved, 2);
+}
+
+/// VmSize of this process in kB, from /proc/self/status; -1 if absent.
+long vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return -1;
+}
+
+// A daemon serving many short connections one at a time must not keep a
+// reader thread's stack per closed connection: the accept loop joins the
+// readers whose connection has closed, so their stacks are reused.
+TEST(ServeServer, SocketModeReapsReadersOfClosedConnections) {
+  const std::string path = test_socket_path("reap");
+  ServeOptions options;
+  options.socket_path = path;
+  options.threads = 1;
+  SolveCache cache(16);
+  options.cache = &cache;
+  Server server(options);
+  std::thread server_thread([&server] { (void)server.run_socket(); });
+  wait_for_socket(path);
+  const auto one_request = [&path](int seq) {
+    SocketClient client(path);
+    ASSERT_TRUE(client.connected());
+    client.send_line(R"({"id": "r)" + std::to_string(seq) +
+                     R"(", "offsets": [[0, 0], [0, 1], [1, 0]]})");
+    ASSERT_EQ(client.read_lines(1).size(), 1u);
+  };
+  constexpr int kWarmup = 8;
+  constexpr int kConnections = 300;
+  for (int seq = 0; seq < kWarmup; ++seq) one_request(seq);
+  const long before_kb = vm_size_kb();
+  ASSERT_GT(before_kb, 0);
+  for (int seq = 0; seq < kConnections; ++seq) one_request(seq);
+  const long grown_kb = vm_size_kb() - before_kb;
+  server.request_shutdown();
+  server_thread.join();
+  EXPECT_EQ(server.summary().connections, kWarmup + kConnections);
+  // An unjoined exited reader keeps its whole stack (8 MB by default)
+  // mapped; allow an eighth of that per connection.
+  EXPECT_LT(grown_kb, kConnections * 1024L)
+      << "VmSize grew " << grown_kb << " kB over " << kConnections
+      << " connections";
 }
 
 /// One request line: four in five are translations of the LoG stencil (one

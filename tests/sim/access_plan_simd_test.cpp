@@ -1,8 +1,8 @@
-// SIMD/SoA bit-identity properties. Every supported dispatch tier must
-// reproduce the scalar row walk and the per-group engine exactly: same
-// banks, same offsets, same cycle statistics — across all compiled plan
-// kinds and the lane-remainder edge cases (rows shorter than one vector,
-// tails, non-unit inner steps).
+// SIMD/SoA bit-identity properties. Under every supported dispatch tier the
+// block walk must reproduce the AddressMap oracle exactly (same banks, same
+// offsets) and issue_batch_soa must reproduce per-group issue() (same cycle
+// statistics) — across all compiled plan kinds and the lane-remainder edge
+// cases (rows shorter than one vector, tails, non-unit inner steps).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -20,6 +20,7 @@
 #include "pattern/pattern_library.h"
 #include "sim/access_engine.h"
 #include "sim/access_plan.h"
+#include "support/plan_oracle.h"
 
 namespace mempart::sim {
 namespace {
@@ -36,50 +37,15 @@ CoreAddressMap solve_map(const Pattern& pattern, NdShape shape,
   return CoreAddressMap(std::move(*sol.mapping));
 }
 
-/// Tap-major reference: flattens the group-major row walk into the SoA
-/// plane order the block walk emits. The row walk never touches the vector
-/// kernels, so it is tier-independent.
-void row_walk_reference(const AccessPlan& plan, std::vector<Count>* banks,
-                        std::vector<Address>* addr) {
-  const auto m = static_cast<size_t>(plan.taps());
-  plan.for_each_row([&](const NdIndex&, std::span<const Count> b,
-                        std::span<const Address> a) {
-    const size_t groups = b.size() / m;
-    for (size_t t = 0; t < m; ++t) {
-      for (size_t g = 0; g < groups; ++g) {
-        banks->push_back(b[g * m + t]);
-        addr->push_back(a[g * m + t]);
-      }
-    }
-  });
-}
-
-/// Runs the block walk under `tier` and checks it against the row-walk
-/// reference, element for element.
-void expect_block_walk_matches(const AccessPlan& plan, simd::Tier tier) {
-  std::vector<Count> ref_banks;
-  std::vector<Address> ref_addr;
-  row_walk_reference(plan, &ref_banks, &ref_addr);
-
-  const simd::TierOverride guard(tier);
-  size_t pos = 0;
-  plan.for_each_row_block([&](const NdIndex& row,
-                              const AccessPlan::RowBlock& block) {
-    ASSERT_EQ(block.banks.size(), block.offsets.size());
-    ASSERT_EQ(block.banks.size(),
-              static_cast<size_t>(block.taps) *
-                  static_cast<size_t>(block.groups));
-    for (size_t i = 0; i < block.banks.size(); ++i, ++pos) {
-      ASSERT_LT(pos, ref_banks.size());
-      ASSERT_EQ(block.banks[i], ref_banks[pos])
-          << "tier=" << simd::tier_name(tier) << " row=" << to_string(row)
-          << " plane index " << i;
-      ASSERT_EQ(block.offsets[i], ref_addr[pos])
-          << "tier=" << simd::tier_name(tier) << " row=" << to_string(row)
-          << " plane index " << i;
-    }
-  });
-  EXPECT_EQ(pos, ref_banks.size());
+/// Builds the plan of `program` over `map`, asserts it compiled, and checks
+/// it against the oracle under every supported tier.
+void expect_program_matches_oracle(const loopnest::StencilProgram& program,
+                                   const Pattern& pattern,
+                                   const AddressMap& map) {
+  const auto domain = loopnest::plan_domain(program.loop_nest());
+  const AccessPlan plan(map, pattern, domain);
+  ASSERT_TRUE(plan.compiled());
+  testing::expect_block_walk_matches_oracle(plan, map, pattern, domain);
 }
 
 void expect_stats_equal(const AccessStats& a, const AccessStats& b) {
@@ -94,22 +60,22 @@ void expect_stats_equal(const AccessStats& a, const AccessStats& b) {
 TEST(AccessPlanSimd, DispatchLadderIsSane) {
   const std::vector<simd::Tier> tiers = simd::supported_tiers();
   ASSERT_FALSE(tiers.empty());
+  ASSERT_LE(tiers.size(), 2u);
   EXPECT_EQ(tiers.front(), simd::Tier::kScalar);
   for (const simd::Tier tier : tiers) {
-    EXPECT_TRUE(simd::tier_supported(tier));
-    EXPECT_GE(simd::tier_lanes(tier), 1);
-    EXPECT_LE(simd::tier_lanes(tier), simd::kMaxLanes);
     const simd::TierOverride guard(tier);
     EXPECT_EQ(simd::active_tier(), tier);
   }
-  bool is_auto = false;
-  EXPECT_EQ(simd::tier_from_name("scalar", &is_auto), simd::Tier::kScalar);
-  EXPECT_FALSE(is_auto);
-  (void)simd::tier_from_name("definitely-not-a-tier", &is_auto);
-  EXPECT_TRUE(is_auto);
+  {
+    // An avx2 request runs scalar on a CPU without AVX2.
+    const simd::TierOverride guard(simd::Tier::kAvx2);
+    EXPECT_EQ(simd::active_tier(), tiers.back());
+  }
+  EXPECT_EQ(simd::tier_name(simd::Tier::kScalar), "scalar");
+  EXPECT_EQ(simd::tier_name(simd::Tier::kAvx2), "avx2");
 }
 
-TEST(AccessPlanSimd, BlockWalkMatchesRowWalkAcrossKindsAndTiers) {
+TEST(AccessPlanSimd, BlockWalkMatchesOracleAcrossKindsAndTiers) {
   struct Config {
     Pattern pattern;
     NdShape shape;
@@ -129,34 +95,18 @@ TEST(AccessPlanSimd, BlockWalkMatchesRowWalkAcrossKindsAndTiers) {
     const CoreAddressMap map =
         solve_map(config.pattern, config.shape, config.max_banks, config.tail);
     const loopnest::StencilProgram program(config.shape, config.pattern, "p");
-    const AccessPlan plan(map, config.pattern,
-                          loopnest::plan_domain(program.loop_nest()));
-    ASSERT_TRUE(plan.compiled());
-    for (const simd::Tier tier : simd::supported_tiers()) {
-      expect_block_walk_matches(plan, tier);
-    }
+    expect_program_matches_oracle(program, config.pattern, map);
   }
 }
 
 TEST(AccessPlanSimd, BlockWalkMatchesOnFlatAndLtbMaps) {
   const Pattern pattern = patterns::box2d(3);
   const NdShape shape({17, 23});
-
-  const FlatAddressMap flat(shape);
   const loopnest::StencilProgram program(shape, pattern, "flat");
-  const auto domain = loopnest::plan_domain(program.loop_nest());
-  const AccessPlan flat_plan(flat, pattern, domain);
-  ASSERT_TRUE(flat_plan.compiled());
-
-  const LtbAddressMap ltb(
-      baseline::LtbMapping(shape, LinearTransform({5, 1}), 13));
-  const AccessPlan ltb_plan(ltb, pattern, domain);
-  ASSERT_TRUE(ltb_plan.compiled());
-
-  for (const simd::Tier tier : simd::supported_tiers()) {
-    expect_block_walk_matches(flat_plan, tier);
-    expect_block_walk_matches(ltb_plan, tier);
-  }
+  expect_program_matches_oracle(program, pattern, FlatAddressMap(shape));
+  expect_program_matches_oracle(
+      program, pattern,
+      LtbAddressMap(baseline::LtbMapping(shape, LinearTransform({5, 1}), 13)));
 }
 
 TEST(AccessPlanSimd, LaneRemainderEdgeCases) {
@@ -166,14 +116,8 @@ TEST(AccessPlanSimd, LaneRemainderEdgeCases) {
   for (Count extra = 0; extra <= simd::kMaxLanes + 1; ++extra) {
     const NdShape shape({pattern.extent(0) + 2,
                          pattern.extent(1) + extra});
-    const CoreAddressMap map = solve_map(pattern, shape);
     const loopnest::StencilProgram program(shape, pattern, "edge");
-    const AccessPlan plan(map, pattern,
-                          loopnest::plan_domain(program.loop_nest()));
-    ASSERT_TRUE(plan.compiled());
-    for (const simd::Tier tier : simd::supported_tiers()) {
-      expect_block_walk_matches(plan, tier);
-    }
+    expect_program_matches_oracle(program, pattern, solve_map(pattern, shape));
   }
 }
 
@@ -186,13 +130,7 @@ TEST(AccessPlanSimd, NonUnitInnerStepMatches) {
     const loopnest::StencilProgram program =
         loopnest::StencilProgram(shape, base, "unroll").unrolled(1, factor);
     const Pattern& pattern = program.extract_pattern();
-    const CoreAddressMap map = solve_map(pattern, shape);
-    const AccessPlan plan(map, pattern,
-                          loopnest::plan_domain(program.loop_nest()));
-    ASSERT_TRUE(plan.compiled());
-    for (const simd::Tier tier : simd::supported_tiers()) {
-      expect_block_walk_matches(plan, tier);
-    }
+    expect_program_matches_oracle(program, pattern, solve_map(pattern, shape));
   }
 }
 
@@ -235,7 +173,7 @@ TEST(AccessPlanSimd, SimulateFastStatsIdenticalAcrossTiers) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine: issue_batch_soa vs the per-group batch scorer
+// Engine: issue_batch_soa vs per-group issue()
 // ---------------------------------------------------------------------------
 
 /// Minimal N-bank map for engine tests: the engine only reads num_banks().
@@ -260,31 +198,33 @@ class StubMap final : public AddressMap {
   Count banks_;
 };
 
-/// Issues the same random groups through issue_batch (group-major) and
-/// issue_batch_soa (tap-major) and demands identical cycles and stats.
-void expect_soa_matches_batch(Count num_banks, Count taps, Count groups,
+/// Issues the same random groups through per-group issue() (the oracle
+/// path: StubMap resolves element {b} to bank b) and issue_batch_soa
+/// (tap-major) and demands identical cycles and stats.
+void expect_soa_matches_issue(Count num_banks, Count taps, Count groups,
                               Count ports, Rng& rng) {
   const StubMap map(NdShape({1024}), num_banks);
-  std::vector<Count> group_major(static_cast<size_t>(taps) *
-                                 static_cast<size_t>(groups));
-  for (Count& b : group_major) b = rng.uniform(0, num_banks - 1);
-  std::vector<Count> tap_major(group_major.size());
+  std::vector<Count> tap_major(static_cast<size_t>(taps) *
+                               static_cast<size_t>(groups));
+  for (Count& b : tap_major) b = rng.uniform(0, num_banks - 1);
+  AccessEngine issue_engine(map, ports);
+  Count issue_cycles = 0;
+  std::vector<NdIndex> group(static_cast<size_t>(taps));
   for (Count g = 0; g < groups; ++g) {
     for (Count t = 0; t < taps; ++t) {
-      tap_major[static_cast<size_t>(t * groups + g)] =
-          group_major[static_cast<size_t>(g * taps + t)];
+      group[static_cast<size_t>(t)] = {
+          tap_major[static_cast<size_t>(t * groups + g)]};
     }
+    issue_cycles += issue_engine.issue(group);
   }
-  AccessEngine batch_engine(map, ports);
   AccessEngine soa_engine(map, ports);
-  const Count batch_cycles = batch_engine.issue_batch(group_major, taps);
   const Count soa_cycles = soa_engine.issue_batch_soa(tap_major, taps, groups);
-  EXPECT_EQ(soa_cycles, batch_cycles)
+  EXPECT_EQ(soa_cycles, issue_cycles)
       << "banks=" << num_banks << " taps=" << taps << " groups=" << groups;
-  expect_stats_equal(soa_engine.stats(), batch_engine.stats());
+  expect_stats_equal(soa_engine.stats(), issue_engine.stats());
 }
 
-TEST(AccessEngineSoa, MatchesIssueBatchOnRandomStreams) {
+TEST(AccessEngineSoa, MatchesPerGroupIssueOnRandomStreams) {
   Rng rng(20260808);
   for (const simd::Tier tier : simd::supported_tiers()) {
     const simd::TierOverride guard(tier);
@@ -293,7 +233,7 @@ TEST(AccessEngineSoa, MatchesIssueBatchOnRandomStreams) {
       const Count taps = rng.uniform(1, 9);
       const Count groups = rng.uniform(1, 50);
       const Count ports = rng.uniform(1, 2);
-      expect_soa_matches_batch(num_banks, taps, groups, ports, rng);
+      expect_soa_matches_issue(num_banks, taps, groups, ports, rng);
     }
   }
 }
@@ -304,7 +244,7 @@ TEST(AccessEngineSoa, WideBankCountTakesExactScalarPath) {
   Rng rng(20260809);
   for (const simd::Tier tier : simd::supported_tiers()) {
     const simd::TierOverride guard(tier);
-    expect_soa_matches_batch(/*num_banks=*/100, /*taps=*/7, /*groups=*/33,
+    expect_soa_matches_issue(/*num_banks=*/100, /*taps=*/7, /*groups=*/33,
                              /*ports=*/1, rng);
   }
 }
@@ -315,7 +255,7 @@ TEST(AccessEngineSoa, MetricsEnabledStillMatches) {
   Rng rng(20260810);
   const bool was_enabled = obs::metrics_enabled();
   obs::set_metrics_enabled(true);
-  expect_soa_matches_batch(/*num_banks=*/13, /*taps=*/13, /*groups=*/21,
+  expect_soa_matches_issue(/*num_banks=*/13, /*taps=*/13, /*groups=*/21,
                            /*ports=*/1, rng);
   obs::set_metrics_enabled(was_enabled);
 }

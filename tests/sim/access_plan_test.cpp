@@ -13,6 +13,7 @@
 #include "loopnest/stencil_program.h"
 #include "pattern/kernel.h"
 #include "pattern/pattern_library.h"
+#include "support/plan_oracle.h"
 
 namespace mempart::sim {
 namespace {
@@ -32,42 +33,7 @@ CoreAddressMap solve_map(const Pattern& pattern, NdShape shape,
   return CoreAddressMap(std::move(*sol.mapping));
 }
 
-/// Checks every compiled bank and offset of `plan` against per-access
-/// virtual AddressMap calls — the reference oracle.
-void expect_matches_oracle(const AccessPlan& plan, const AddressMap& map,
-                           const Pattern& pattern,
-                           const std::vector<PlanLoop>& domain) {
-  const auto& offsets = pattern.offsets();
-  const size_t m = offsets.size();
-  const Coord step = domain.back().step;
-  const size_t inner = domain.size() - 1;
-  Count rows = 0;
-  plan.for_each_row([&](const NdIndex& row, std::span<const Count> banks,
-                        std::span<const Address> addr) {
-    ++rows;
-    ASSERT_EQ(banks.size(), addr.size());
-    ASSERT_EQ(banks.size() % m, 0u);
-    const size_t groups = banks.size() / m;
-    NdIndex iv = row;
-    for (size_t g = 0; g < groups; ++g) {
-      for (size_t t = 0; t < m; ++t) {
-        const NdIndex x = add(iv, offsets[t]);
-        ASSERT_EQ(banks[g * m + t], map.bank_of(x))
-            << "bank mismatch at iv=" << to_string(iv)
-            << " tap=" << to_string(offsets[t]);
-        ASSERT_EQ(addr[g * m + t], map.offset_of(x))
-            << "offset mismatch at iv=" << to_string(iv)
-            << " tap=" << to_string(offsets[t]);
-      }
-      iv[inner] += step;
-    }
-  });
-  Count expected_rows = 1;
-  for (size_t d = 0; d + 1 < domain.size(); ++d) {
-    expected_rows *= (domain[d].upper - domain[d].lower) / domain[d].step + 1;
-  }
-  EXPECT_EQ(rows, expected_rows);
-}
+using mempart::testing::expect_block_walk_matches_oracle;
 
 void expect_stats_equal(const AccessStats& a, const AccessStats& b) {
   EXPECT_EQ(a.iterations, b.iterations);
@@ -110,7 +76,7 @@ TEST(AccessPlan, RandomizedCoreMapsMatchOracle) {
     const auto domain = loopnest::plan_domain(program.loop_nest());
     const AccessPlan plan(map, pattern, domain);
     EXPECT_TRUE(plan.compiled());
-    expect_matches_oracle(plan, map, pattern, domain);
+    expect_block_walk_matches_oracle(plan, map, pattern, domain);
   }
 }
 
@@ -128,7 +94,7 @@ TEST(AccessPlan, LtbMapMatchesOracle) {
   const auto domain = loopnest::plan_domain(program.loop_nest());
   const AccessPlan plan(map, pattern, domain);
   EXPECT_TRUE(plan.compiled());
-  expect_matches_oracle(plan, map, pattern, domain);
+  expect_block_walk_matches_oracle(plan, map, pattern, domain);
 }
 
 TEST(AccessPlan, FlatMapMatchesOracle) {
@@ -139,7 +105,7 @@ TEST(AccessPlan, FlatMapMatchesOracle) {
   const auto domain = loopnest::plan_domain(program.loop_nest());
   const AccessPlan plan(map, pattern, domain);
   EXPECT_TRUE(plan.compiled());
-  expect_matches_oracle(plan, map, pattern, domain);
+  expect_block_walk_matches_oracle(plan, map, pattern, domain);
 }
 
 TEST(AccessPlan, UnrolledProgramMatchesOracle) {
@@ -152,7 +118,7 @@ TEST(AccessPlan, UnrolledProgramMatchesOracle) {
   const auto domain = loopnest::plan_domain(program.loop_nest());
   const AccessPlan plan(map, pattern, domain);
   EXPECT_TRUE(plan.compiled());
-  expect_matches_oracle(plan, map, pattern, domain);
+  expect_block_walk_matches_oracle(plan, map, pattern, domain);
 }
 
 TEST(AccessPlan, SimulateFastMatchesSimulateBitForBit) {
@@ -229,7 +195,7 @@ TEST(AccessPlan, GenericFallbackMatchesOracle) {
   const auto domain = loopnest::plan_domain(program.loop_nest());
   const AccessPlan plan(map, pattern, domain);
   EXPECT_FALSE(plan.compiled());
-  expect_matches_oracle(plan, map, pattern, domain);
+  expect_block_walk_matches_oracle(plan, map, pattern, domain);
   expect_stats_equal(loopnest::simulate_fast(program, map),
                      loopnest::simulate(program, map));
 }

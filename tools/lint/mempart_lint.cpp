@@ -2,7 +2,8 @@
 //
 // Generic tools (clang-tidy, compiler warnings) cannot know mempart's
 // invariants; this tool does, and the static-analysis CI job runs it as a
-// hard gate. Four rules, each born from a real bug class:
+// hard gate. Three rules, each born from a real bug class (span coverage of
+// the solver/engine facade is mempart_analyze's cross-TU span-coverage):
 //
 //   raw-arith    In solver directories (any path containing a core/ or
 //                pattern/ segment), a naked `%` (or `%=`), or a binary
@@ -19,18 +20,12 @@
 //                invisible to the Clang thread-safety analysis, which
 //                silently un-checks everything it guards.
 //
-//   obs-span     Public Partitioner / AccessEngine entry points defined in
-//                a .cpp must contain an obs span (directly, or via a method
-//                they delegate to in the same file). The observability
-//                layer is only as complete as its coverage of the solver
-//                facade.
-//
 //   simd-guard   common/simd.h is the one file allowed to include vendor
 //                intrinsic headers (<immintrin.h>, <arm_neon.h>, ...) or
 //                spell vendor intrinsics (_mm*, __m128/__m256/__m512).
-//                Anywhere else they bypass the runtime-dispatch tiers and
-//                break non-x86 builds; go through the mempart::simd lane
-//                wrappers instead. The AVX2-wide wrapper I64x4 is further
+//                Anywhere else they bypass the scalar/AVX2 runtime dispatch
+//                and break non-x86 builds; go through the mempart::simd
+//                lane wrappers instead. The AVX2-wide wrapper I64x4 is further
 //                restricted to common/simd.h and *_avx2.cpp units — only
 //                those are compiled with -mavx2, so naming it in a
 //                baseline-ISA TU plants illegal instructions.
@@ -107,17 +102,13 @@ struct FileScan {
 };
 
 const std::set<std::string, std::less<>> kKnownRules = {
-    "raw-arith", "mutex-guard", "obs-span", "simd-guard"};
+    "raw-arith", "mutex-guard", "simd-guard"};
 
 /// Identifiers the raw-arith rule treats as z-values (transformed pattern
 /// offsets). Kept deliberately small and documented in
 /// docs/STATIC_ANALYSIS.md; extend it when new z spellings appear.
 const std::set<std::string, std::less<>> kZIdents = {
     "z", "zs", "zvals", "z_values", "sorted_z"};
-
-/// Classes whose public .cpp-defined entry points must carry an obs span.
-const std::set<std::string, std::less<>> kSpanClasses = {"Partitioner",
-                                                         "AccessEngine"};
 
 // ---------------------------------------------------------------------------
 // Tokenizer
@@ -412,7 +403,7 @@ class Suppressions {
         findings.push_back({file, pragma.comment_line, pragma.comment_col,
                             "bad-pragma",
                             "allow() names no known rule (raw-arith, "
-                            "mutex-guard, obs-span, simd-guard)"});
+                            "mutex-guard, simd-guard)"});
       }
     }
   }
@@ -630,120 +621,6 @@ void check_mutex_guard(const std::string& file, const std::vector<Token>& toks,
 }
 
 // ---------------------------------------------------------------------------
-// Rule: obs-span
-// ---------------------------------------------------------------------------
-
-void check_obs_span(const std::string& file, const std::vector<Token>& toks,
-                    const Suppressions& supp, std::vector<Finding>& out) {
-  if (file.size() < 4 || (file.compare(file.size() - 4, 4, ".cpp") != 0 &&
-                          file.compare(file.size() - 3, 3, ".cc") != 0)) {
-    return;
-  }
-  struct Method {
-    std::string cls;
-    std::string name;
-    int line = 0;
-    int col = 0;
-    size_t body_begin = 0;  // token index just past '{'
-    size_t body_end = 0;    // token index of matching '}'
-    bool has_span = false;
-  };
-  std::vector<Method> methods;
-  const size_t n = toks.size();
-  for (size_t i = 0; i + 3 < n; ++i) {
-    if (toks[i].kind != TokKind::kIdent || kSpanClasses.count(toks[i].text) == 0)
-      continue;
-    if (toks[i + 1].text != "::") continue;
-    if (toks[i + 2].kind != TokKind::kIdent) continue;  // skips ~dtors
-    if (toks[i + 3].text != "(") continue;
-    if (toks[i + 2].text == toks[i].text) continue;  // constructor
-    // Definitions are preceded by return-type tokens, never by call-site
-    // punctuation or `return`.
-    if (i > 0) {
-      const Token& prev = toks[i - 1];
-      if (prev.kind == TokKind::kPunct &&
-          (prev.text != ">" && prev.text != "&" && prev.text != "*")) {
-        continue;
-      }
-      if (prev.kind == TokKind::kIdent && prev.text == "return") continue;
-    }
-    // Match the parameter list.
-    size_t j = i + 3;
-    int depth = 0;
-    while (j < n) {
-      if (toks[j].text == "(") ++depth;
-      if (toks[j].text == ")" && --depth == 0) break;
-      ++j;
-    }
-    if (j >= n) break;
-    // Scan to '{' (definition) or ';' (declaration / expression statement).
-    size_t k = j + 1;
-    bool is_def = false;
-    while (k < n) {
-      if (toks[k].text == ";") break;
-      if (toks[k].text == "{") {
-        is_def = true;
-        break;
-      }
-      ++k;
-    }
-    if (!is_def) continue;
-    Method m;
-    m.cls = toks[i].text;
-    m.name = toks[i + 2].text;
-    m.line = toks[i].line;
-    m.col = toks[i].col;
-    m.body_begin = k + 1;
-    int braces = 1;
-    size_t b = k + 1;
-    while (b < n && braces > 0) {
-      if (toks[b].text == "{") ++braces;
-      if (toks[b].text == "}") --braces;
-      ++b;
-    }
-    m.body_end = b > 0 ? b - 1 : 0;
-    for (size_t s = m.body_begin; s < m.body_end; ++s) {
-      if (toks[s].kind == TokKind::kIdent && toks[s].text == "Span") {
-        m.has_span = true;
-        break;
-      }
-    }
-    methods.push_back(m);
-    i = k;  // resume after the header; bodies may define nothing matching
-  }
-  // Delegation closure within the file: a method without its own span passes
-  // if it calls (transitively) a same-class method that has one.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (Method& m : methods) {
-      if (m.has_span) continue;
-      for (size_t s = m.body_begin; s < m.body_end && !m.has_span; ++s) {
-        if (toks[s].kind != TokKind::kIdent) continue;
-        if (s + 1 >= n || toks[s + 1].text != "(") continue;
-        for (const Method& callee : methods) {
-          if (&callee != &m && callee.cls == m.cls &&
-              callee.name == toks[s].text && callee.has_span) {
-            m.has_span = true;
-            changed = true;
-            break;
-          }
-        }
-      }
-    }
-  }
-  for (const Method& m : methods) {
-    if (m.has_span) continue;
-    if (supp.allows(m.line, "obs-span")) continue;
-    out.push_back({file, m.line, m.col, "obs-span",
-                   m.cls + "::" + m.name +
-                       " has no obs span — public solver/engine entry points "
-                       "must be traceable (obs::Span, directly or via a "
-                       "delegate in this file)"});
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Rule: simd-guard
 // ---------------------------------------------------------------------------
 
@@ -834,7 +711,6 @@ void lint_file(const std::string& path, std::vector<Finding>& findings,
     check_raw_arith(path, scan.tokens, supp, findings);
   }
   check_mutex_guard(path, scan.tokens, supp, findings);
-  check_obs_span(path, scan.tokens, supp, findings);
   check_simd_guard(path, scan, supp, findings);
   // Must run last: an allowance is stale only if no rule above consulted it.
   supp.report_stale(findings);
@@ -938,8 +814,6 @@ int main(int argc, char** argv) {
                    "(use math_util.h helpers)\n"
                    "mutex-guard  mutex members need MEMPART_GUARDED_BY on "
                    "their data\n"
-                   "obs-span     Partitioner/AccessEngine entry points need "
-                   "an obs span\n"
                    "simd-guard   vendor intrinsic headers/identifiers belong "
                    "in common/simd.h only (I64x4 also in *_avx2.cpp)\n"
                    "bad-pragma   allow() pragmas must name a rule and give a "
