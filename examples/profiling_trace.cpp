@@ -5,7 +5,9 @@
 // banks are loaded. This program enables tracing and metrics
 // programmatically (the CLI equivalent is `mempart profile --pattern Canny
 // --shape 640x480 --trace trace.json --metrics metrics.json`), runs the
-// pipeline, prints the span tree, and writes both export files.
+// pipeline, prints the span tree, and writes both export files: the trace
+// as Chrome trace-event JSON, the metrics as one NDJSON sample that
+// `mempart stats --in profile_metrics.json` renders.
 #include <iostream>
 
 #include "core/partitioner.h"
@@ -13,6 +15,7 @@
 #include "loopnest/stencil_program.h"
 #include "obs/metrics.h"
 #include "obs/sinks.h"
+#include "obs/snapshot.h"
 #include "obs/trace.h"
 #include "pattern/pattern_library.h"
 #include "sim/address_map.h"
@@ -52,7 +55,7 @@ int main() {
   //    chrome://tracing or ui.perfetto.dev.
   std::cout << "span tree:\n" << obs::trace_text_report();
   obs::write_text_file("profile_trace.json", obs::chrome_trace_json());
-  obs::write_text_file("profile_metrics.json", obs::metrics_json());
+  obs::write_text_file("profile_metrics.json", obs::ndjson_sample());
   std::cout << "\nwrote profile_trace.json (open in chrome://tracing) and "
                "profile_metrics.json\n";
 

@@ -80,11 +80,13 @@ class Parser {
     skip_ws();
     size_t start = pos_;
     if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
+    // A sign needs a digit after it: strtoll would read a lone sign as 0.
+    const size_t digits = pos_;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
-    if (pos_ == start) fail("expected integer");
+    if (pos_ == digits) fail("expected integer");
     errno = 0;
     char* end = nullptr;
     const long long v = std::strtoll(text_.c_str() + start, &end, 10);

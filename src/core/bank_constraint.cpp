@@ -50,11 +50,9 @@ std::vector<Count> delta_sweep(std::span<const Address> z, Count nmax) {
   span.arg("nmax", nmax);
   std::vector<Count> sweep;
   sweep.reserve(static_cast<size_t>(nmax));
-  static const std::vector<double> kDeltaBounds = obs::pow2_bounds(8);
   for (Count n = 1; n <= nmax; ++n) {
     const Count delta = delta_ii(z, n);
-    obs::observe("constrain.delta_per_candidate", static_cast<double>(delta),
-                 kDeltaBounds);
+    obs::observe("constrain.delta_per_candidate", delta);
     sweep.push_back(delta);
   }
   return sweep;

@@ -198,9 +198,7 @@ BankSearchResult minimize_banks(std::span<const Address> z,
                                                         Count{rejected});
     }
     if (metrics) {
-      static const std::vector<double> kProbeBounds = obs::pow2_bounds(10);
-      obs::observe("bank_search.probes_per_candidate",
-                   static_cast<double>(probes), kProbeBounds);
+      obs::observe("bank_search.probes_per_candidate", probes);
       obs::count(rejected ? "bank_search.candidates.rejected"
                           : "bank_search.candidates.accepted");
     }

@@ -164,11 +164,11 @@ std::shared_ptr<const CachedSolve> find_or_solve_core(
   std::shared_ptr<const CachedSolve> core = cache->find_or_solve(
       key,
       [&] {
-        if (timed) obs::record_latency("cache.find.miss.ns", probe_ns());
+        if (timed) obs::observe("cache.find.miss.ns", probe_ns());
         return solve();
       },
       &hit);
-  if (timed && hit) obs::record_latency("cache.find.hit.ns", probe_ns());
+  if (timed && hit) obs::observe("cache.find.hit.ns", probe_ns());
   return core;
 }
 

@@ -17,8 +17,7 @@ Count round_up_pow2(Count n) {
 
 }  // namespace
 
-std::unique_ptr<SolveCache::Table> SolveCache::make_table(Count capacity,
-                                                          Count shards) {
+SolveCache::SolveCache(Count capacity, Count shards) : capacity_(capacity) {
   MEMPART_REQUIRE(capacity >= 1, "SolveCache: capacity must be >= 1");
   MEMPART_REQUIRE(shards >= 0, "SolveCache: shards must be >= 0");
   if (shards == 0) {
@@ -27,42 +26,9 @@ std::unique_ptr<SolveCache::Table> SolveCache::make_table(Count capacity,
   // More stripes than entries is pure overhead; cap, then round to a power
   // of two so shard selection is a mask of the key hash.
   shards = round_up_pow2(std::min(shards, capacity));
-  auto table = std::make_unique<Table>();
-  table->capacity = capacity;
-  table->per_shard_capacity = std::max<Count>(1, capacity / shards);
-  table->shard_mask = static_cast<size_t>(shards - 1);
-  table->shards = std::vector<Shard>(static_cast<size_t>(shards));
-  return table;
-}
-
-SolveCache::SolveCache(Count capacity, Count shards) {
-  std::unique_ptr<Table> table = make_table(capacity, shards);
-  table_.store(table.get(), std::memory_order_release);
-  const MutexLock lock(tables_mutex_);
-  tables_.push_back(std::move(table));
-}
-
-void SolveCache::reconfigure(Count capacity, Count shards) {
-  // Build the replacement before the swap so a bad capacity/shard request
-  // throws without disturbing the live table.
-  std::unique_ptr<Table> fresh = make_table(capacity, shards);
-  const MutexLock lock(tables_mutex_);
-  Table* old = table_.exchange(fresh.get(), std::memory_order_acq_rel);
-  tables_.push_back(std::move(fresh));
-  retire(*old);
-}
-
-void SolveCache::retire(Table& table) {
-  for (Shard& shard : table.shards) {
-    const MutexLock lock(shard.mutex);
-    retired_hits_.fetch_add(shard.hits, std::memory_order_relaxed);
-    retired_misses_.fetch_add(shard.misses, std::memory_order_relaxed);
-    retired_insertions_.fetch_add(shard.insertions, std::memory_order_relaxed);
-    retired_evictions_.fetch_add(shard.evictions, std::memory_order_relaxed);
-    shard.hits = shard.misses = shard.insertions = shard.evictions = 0;
-    shard.index.clear();
-    shard.lru.clear();
-  }
+  per_shard_capacity_ = std::max<Count>(1, capacity / shards);
+  shard_mask_ = static_cast<size_t>(shards - 1);
+  shards_ = std::vector<Shard>(static_cast<size_t>(shards));
 }
 
 std::uint64_t SolveCache::hash_key(
@@ -84,7 +50,7 @@ std::uint64_t SolveCache::hash_key(
 std::shared_ptr<const CachedSolve> SolveCache::find(
     std::span<const std::int64_t> key) {
   const std::uint64_t hash = hash_key(key);
-  Shard& shard = shard_for(table(), hash);
+  Shard& shard = shard_for(hash);
   const KeyRef ref{key.data(), key.size(), hash};
   const MutexLock lock(shard.mutex);
   const auto it = shard.index.find(ref);
@@ -103,19 +69,16 @@ void SolveCache::insert(std::span<const std::int64_t> key,
                         std::shared_ptr<const CachedSolve> value) {
   MEMPART_REQUIRE(value != nullptr, "SolveCache::insert: value must be set");
   const std::uint64_t hash = hash_key(key);
-  Table& table = this->table();
-  Shard& shard = shard_for(table, hash);
+  Shard& shard = shard_for(hash);
   const MutexLock lock(shard.mutex);
-  insert_locked(table, shard, KeyRef{key.data(), key.size(), hash},
-                std::move(value));
+  insert_locked(shard, KeyRef{key.data(), key.size(), hash}, std::move(value));
 }
 
 SolveCache::Probe SolveCache::probe_or_claim(
     std::span<const std::int64_t> key) {
   Probe probe;
   probe.hash = hash_key(key);
-  probe.table = &table();
-  Shard& shard = shard_for(*probe.table, probe.hash);
+  Shard& shard = shard_for(probe.hash);
   const KeyRef ref{key.data(), key.size(), probe.hash};
   UniqueLock lock(shard.mutex);
   for (;;) {
@@ -148,7 +111,7 @@ SolveCache::Probe SolveCache::probe_or_claim(
 
 void SolveCache::release(const Probe& probe, std::span<const std::int64_t> key,
                          std::shared_ptr<const CachedSolve> value) {
-  Shard& shard = shard_for(*probe.table, probe.hash);
+  Shard& shard = shard_for(probe.hash);
   const KeyRef ref{key.data(), key.size(), probe.hash};
   {
     const MutexLock lock(shard.mutex);
@@ -157,14 +120,13 @@ void SolveCache::release(const Probe& probe, std::span<const std::int64_t> key,
     open->second->done = true;
     shard.flights.erase(open);
     if (value != nullptr) {
-      insert_locked(*probe.table, shard, ref, std::move(value));
+      insert_locked(shard, ref, std::move(value));
     }
   }
   shard.landed.notify_all();
 }
 
-void SolveCache::insert_locked(const Table& table, Shard& shard,
-                               const KeyRef& ref,
+void SolveCache::insert_locked(Shard& shard, const KeyRef& ref,
                                std::shared_ptr<const CachedSolve> value) {
   const auto it = shard.index.find(ref);
   if (it != shard.index.end()) {
@@ -179,11 +141,11 @@ void SolveCache::insert_locked(const Table& table, Shard& shard,
   shard.index.emplace(KeyRef{entry.key.data(), entry.key.size(), entry.hash},
                       shard.lru.begin());
   ++shard.insertions;
-  evict_over_capacity(table, shard);
+  evict_over_capacity(shard);
 }
 
-void SolveCache::evict_over_capacity(const Table& table, Shard& shard) {
-  while (static_cast<Count>(shard.lru.size()) > table.per_shard_capacity) {
+void SolveCache::evict_over_capacity(Shard& shard) {
+  while (static_cast<Count>(shard.lru.size()) > per_shard_capacity_) {
     const Entry& victim = shard.lru.back();
     shard.index.erase(
         KeyRef{victim.key.data(), victim.key.size(), victim.hash});
@@ -194,14 +156,9 @@ void SolveCache::evict_over_capacity(const Table& table, Shard& shard) {
 
 SolveCache::Stats SolveCache::stats() const {
   Stats out;
-  const Table& table = this->table();
-  out.capacity = table.capacity;
-  out.shards = static_cast<Count>(table.shards.size());
-  out.hits = retired_hits_.load(std::memory_order_relaxed);
-  out.misses = retired_misses_.load(std::memory_order_relaxed);
-  out.insertions = retired_insertions_.load(std::memory_order_relaxed);
-  out.evictions = retired_evictions_.load(std::memory_order_relaxed);
-  for (const Shard& shard : table.shards) {
+  out.capacity = capacity_;
+  out.shards = shard_count();
+  for (const Shard& shard : shards_) {
     const MutexLock lock(shard.mutex);
     out.hits += shard.hits;
     out.misses += shard.misses;
@@ -213,22 +170,18 @@ SolveCache::Stats SolveCache::stats() const {
 }
 
 void SolveCache::clear() {
-  for (Shard& shard : table().shards) {
+  for (Shard& shard : shards_) {
     const MutexLock lock(shard.mutex);
     shard.lru.clear();
     shard.index.clear();
     shard.hits = shard.misses = shard.insertions = shard.evictions = 0;
   }
-  retired_hits_.store(0, std::memory_order_relaxed);
-  retired_misses_.store(0, std::memory_order_relaxed);
-  retired_insertions_.store(0, std::memory_order_relaxed);
-  retired_evictions_.store(0, std::memory_order_relaxed);
 }
 
-Count SolveCache::capacity() const { return table().capacity; }
+Count SolveCache::capacity() const { return capacity_; }
 
 Count SolveCache::shard_count() const {
-  return static_cast<Count>(table().shards.size());
+  return static_cast<Count>(shards_.size());
 }
 
 void SolveCache::publish_stats() const {
@@ -243,9 +196,9 @@ void SolveCache::publish_stats() const {
 }
 
 SolveCache& SolveCache::global() {
-  // The env variables only pick the STARTING size; reconfigure() (e.g.
-  // `mempart serve --cache-capacity`) can resize the live cache later, so
-  // this is no longer first-caller-wins for the lifetime of the process.
+  // Sized once, by the env variables, on first use; a caller that wants
+  // another size builds its own cache (`mempart batch`, `mempart serve
+  // --cache-capacity`).
   static SolveCache cache(
       env_count("MEMPART_CACHE_CAPACITY", 4096, 1, kMaxEnvCacheCapacity),
       env_count("MEMPART_CACHE_SHARDS", 8, 1, kMaxEnvCacheShards));

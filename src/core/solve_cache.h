@@ -25,7 +25,6 @@
 // `mempart batch` include them in the metrics JSON dump.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
@@ -71,16 +70,6 @@ class SolveCache {
   explicit SolveCache(Count capacity = 4096, Count shards = 0);
   SolveCache(const SolveCache&) = delete;
   SolveCache& operator=(const SolveCache&) = delete;
-
-  /// Atomically replaces the shard table with a freshly sized one
-  /// (drain-and-resize): all cached entries are dropped, hit/miss/insert/
-  /// evict counters carry over. Thread-safe against concurrent calls —
-  /// in-flight calls complete against the table they loaded (an insert
-  /// racing the swap may land in the retired table and is simply lost,
-  /// which only costs a future re-solve). The retired table's emptied
-  /// shell lives until the cache is destroyed, so a call never touches
-  /// freed memory; `mempart serve --cache-capacity` reconfigures once.
-  void reconfigure(Count capacity, Count shards = 0);
 
   /// Looks up `key`, refreshing its LRU position. Returns nullptr on miss.
   [[nodiscard]] std::shared_ptr<const CachedSolve> find(
@@ -192,34 +181,16 @@ class SolveCache {
     std::int64_t evictions MEMPART_GUARDED_BY(mutex) = 0;
   };
 
-  /// One immutable-shape shard table: reconfigure() swaps the whole table
-  /// atomically instead of resizing in place, so a call finds its shard
-  /// with one acquire load of the table pointer (per-shard mutexes still
-  /// guard the shard contents). Every table ever made stays owned by
-  /// tables_ until the cache is destroyed.
-  struct Table {
-    Count capacity = 0;
-    Count per_shard_capacity = 0;
-    size_t shard_mask = 0;
-    std::vector<Shard> shards;
-  };
-
   /// find_or_solve's probe: the value (resident, or landed while this
   /// caller waited), or — value null — a claim this caller now holds.
   struct Probe {
-    Table* table = nullptr;
     std::uint64_t hash = 0;
     std::shared_ptr<const CachedSolve> value;
     bool waited = false;
   };
 
-  [[nodiscard]] static std::unique_ptr<Table> make_table(Count capacity,
-                                                         Count shards);
-  [[nodiscard]] Table& table() const {
-    return *table_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] static Shard& shard_for(Table& table, std::uint64_t hash) {
-    return table.shards[static_cast<size_t>(hash) & table.shard_mask];
+  [[nodiscard]] Shard& shard_for(std::uint64_t hash) {
+    return shards_[static_cast<size_t>(hash) & shard_mask_];
   }
 
   /// Looks `key` up; on a miss with no open claim, claims it.
@@ -234,30 +205,20 @@ class SolveCache {
 
   /// Links `key` -> `value` at the front of the LRU unless the key is
   /// already resident, then evicts over capacity. Caller holds the mutex.
-  static void insert_locked(const Table& table, Shard& shard,
-                            const KeyRef& ref,
-                            std::shared_ptr<const CachedSolve> value)
+  void insert_locked(Shard& shard, const KeyRef& ref,
+                     std::shared_ptr<const CachedSolve> value)
       MEMPART_REQUIRES(shard.mutex);
 
   /// Pops LRU entries beyond the shard's capacity share. Caller must hold
   /// the shard mutex (enforced at compile time under MEMPART_THREAD_SAFETY).
-  static void evict_over_capacity(const Table& table, Shard& shard)
-      MEMPART_REQUIRES(shard.mutex);
+  void evict_over_capacity(Shard& shard) MEMPART_REQUIRES(shard.mutex);
 
-  /// Folds a retiring table's counters into retired_* so stats() stays
-  /// monotonic across reconfigure(), and drops its entries.
-  void retire(Table& table);
-
-  std::atomic<Table*> table_{nullptr};
-  /// Owns every table made; only construction, reconfigure() and
-  /// destruction touch it.
-  Mutex tables_mutex_;
-  std::vector<std::unique_ptr<Table>> tables_ MEMPART_GUARDED_BY(tables_mutex_);
-  /// Counter totals of tables replaced by reconfigure()/clear().
-  std::atomic<std::int64_t> retired_hits_{0};
-  std::atomic<std::int64_t> retired_misses_{0};
-  std::atomic<std::int64_t> retired_insertions_{0};
-  std::atomic<std::int64_t> retired_evictions_{0};
+  /// The shape is fixed at construction; per-shard mutexes guard the
+  /// shard contents.
+  Count capacity_ = 0;
+  Count per_shard_capacity_ = 0;
+  size_t shard_mask_ = 0;
+  std::vector<Shard> shards_;
 };
 
 }  // namespace mempart

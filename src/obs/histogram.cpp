@@ -5,11 +5,10 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace mempart::obs {
 
-int LatencyHistogram::bucket_index(std::int64_t value) noexcept {
+int Histogram::bucket_index(std::int64_t value) noexcept {
   const std::uint64_t v =
       value <= 0 ? 0 : static_cast<std::uint64_t>(value);
   if (v < static_cast<std::uint64_t>(kSubBucketCount)) {
@@ -26,7 +25,7 @@ int LatencyHistogram::bucket_index(std::int64_t value) noexcept {
                           (sub - kSubBucketCount / 2));
 }
 
-std::int64_t LatencyHistogram::bucket_upper_bound(int index) noexcept {
+std::int64_t Histogram::bucket_upper_bound(int index) noexcept {
   if (index < kSubBucketCount) return index;
   const int off = index - static_cast<int>(kSubBucketCount);
   const int exp = off / static_cast<int>(kSubBucketCount / 2) + 1;
@@ -38,12 +37,16 @@ std::int64_t LatencyHistogram::bucket_upper_bound(int index) noexcept {
       ((static_cast<std::uint64_t>(sub) + 1) << exp) - 1);
 }
 
-void LatencyHistogram::record(std::int64_t value) noexcept {
+void Histogram::record(std::int64_t value, std::int64_t samples) noexcept {
+  if (samples < 1) return;
   const std::int64_t v = value < 0 ? 0 : value;
+  const auto n = static_cast<std::uint64_t>(samples);
   buckets_[static_cast<size_t>(bucket_index(v))].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
+      n, std::memory_order_relaxed);
+  count_.fetch_add(n, std::memory_order_relaxed);
+  // Unsigned product: a sum past INT64_MAX wraps instead of being UB.
+  sum_.fetch_add(static_cast<std::int64_t>(static_cast<std::uint64_t>(v) * n),
+                 std::memory_order_relaxed);
   std::int64_t seen = min_.load(std::memory_order_relaxed);
   while (v < seen &&
          !min_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
@@ -54,8 +57,8 @@ void LatencyHistogram::record(std::int64_t value) noexcept {
   }
 }
 
-LatencySnapshot LatencyHistogram::snapshot() const {
-  LatencySnapshot snap;
+HistogramSnapshot Histogram::snapshot() const {
+  HistogramSnapshot snap;
   snap.buckets.resize(kNumBuckets);
   for (int i = 0; i < kNumBuckets; ++i) {
     snap.buckets[static_cast<size_t>(i)] =
@@ -71,7 +74,7 @@ LatencySnapshot LatencyHistogram::snapshot() const {
   return snap;
 }
 
-void LatencyHistogram::reset() noexcept {
+void Histogram::reset() noexcept {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
@@ -80,7 +83,7 @@ void LatencyHistogram::reset() noexcept {
   max_.store(-1, std::memory_order_relaxed);
 }
 
-std::int64_t LatencySnapshot::quantile(double q) const {
+std::int64_t HistogramSnapshot::quantile(double q) const {
   if (count <= 0) return 0;
   const double clamped = std::clamp(q, 0.0, 1.0);
   // Nearest-rank: the smallest value with at least ceil(q * count)
@@ -97,17 +100,16 @@ std::int64_t LatencySnapshot::quantile(double q) const {
     cumulative += static_cast<std::int64_t>(buckets[i]);
     if (cumulative >= rank) {
       const std::int64_t bound =
-          LatencyHistogram::bucket_upper_bound(static_cast<int>(i));
+          Histogram::bucket_upper_bound(static_cast<int>(i));
       return std::clamp(bound, min, max);
     }
   }
   return max;
 }
 
-LatencyTimer::LatencyTimer(std::string_view name) {
-  if (!metrics_enabled()) return;
-  hist_ = &Registry::instance().latency(name);
-  start_ = std::chrono::steady_clock::now();
+LatencyTimer::LatencyTimer(std::string_view name)
+    : hist_(histogram_if_enabled(name)) {
+  if (hist_ != nullptr) start_ = std::chrono::steady_clock::now();
 }
 
 void LatencyTimer::stop() noexcept {
@@ -116,11 +118,6 @@ void LatencyTimer::stop() noexcept {
   hist_->record(
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
   hist_ = nullptr;
-}
-
-void record_latency(std::string_view name, std::int64_t ns) {
-  if (!metrics_enabled()) return;
-  Registry::instance().latency(name).record(ns);
 }
 
 }  // namespace mempart::obs

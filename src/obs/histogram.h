@@ -1,20 +1,23 @@
-// Fixed-layout log-bucketed latency histograms with lock-free recording.
+// The registry's one histogram type: a fixed-layout log-linear histogram
+// with lock-free recording.
 //
-// The fixed-bucket obs::Histogram takes a mutex per observation and needs
-// caller-chosen bounds; neither works for the latency numbers the serving
-// roadmap wants (p50/p99 attached to throughput claims). LatencyHistogram
-// uses an HDR-style bucket layout fixed at compile time — values below
-// kSubBucketCount land in exact unit buckets, larger values in log2 octaves
-// split into kSubBucketCount/2 sub-buckets each, bounding the relative
-// quantization error at 2/kSubBucketCount (~3.1%) — so every histogram in
-// the process shares one layout and recording is a handful of relaxed
-// atomic increments: no locks, no allocation, safe from any thread.
+// obs::Histogram uses an HDR-style bucket layout fixed at compile time —
+// values below kSubBucketCount land in exact unit buckets, larger values in
+// log2 octaves split into kSubBucketCount/2 sub-buckets each, bounding the
+// relative quantization error at 2/kSubBucketCount (~3.1%) — so every
+// histogram in the process shares one layout and recording is a handful of
+// relaxed atomic increments: no locks, no allocation, safe from any thread.
+// It holds latencies (nanoseconds) and integer distributions alike: bank
+// loads, probe counts, delta_P per candidate N, conflict cycles per group.
+// record() takes an optional sample count, so a caller that knows many
+// samples share one value (the simulator's conflict-free groups) records
+// them in one call.
 //
-// Queries come from an immutable LatencySnapshot: nearest-rank percentiles
-// (p50/p90/p99/p999 or any quantile), count, sum, and *exact* min/max
-// (tracked separately via CAS, not reconstructed from buckets). A snapshot
-// taken while other threads record sees each counter atomically; the test
-// suite races recorders against snapshots under TSan to pin this.
+// Queries come from an immutable HistogramSnapshot: nearest-rank
+// percentiles (p50/p90/p99/p999 or any quantile), count, sum, and *exact*
+// min/max (tracked separately via CAS, not reconstructed from buckets). A
+// snapshot taken while other threads record sees each counter atomically;
+// the test suite races recorders against snapshots under TSan to pin this.
 //
 // LatencyTimer is the RAII instrumentation helper: construction resolves
 // the named histogram from the Registry if metrics are enabled (one mutex'd
@@ -34,8 +37,8 @@
 
 namespace mempart::obs {
 
-/// Immutable view of a LatencyHistogram, safe to query repeatedly.
-struct LatencySnapshot {
+/// Immutable view of a Histogram, safe to query repeatedly.
+struct HistogramSnapshot {
   std::vector<std::uint64_t> buckets;  ///< dense, index = bucket index
   std::int64_t count = 0;
   std::int64_t sum = 0;   ///< sum of recorded values (ns for timers)
@@ -60,7 +63,7 @@ struct LatencySnapshot {
 
 /// Lock-free log-bucketed histogram of non-negative int64 values
 /// (negative inputs clamp to 0). All methods are safe from any thread.
-class LatencyHistogram {
+class Histogram {
  public:
   /// Exact unit buckets cover [0, kSubBucketCount); each octave above is
   /// split into kSubBucketCount/2 sub-buckets.
@@ -73,14 +76,15 @@ class LatencyHistogram {
       static_cast<int>(kSubBucketCount) +
       kOctaves * static_cast<int>(kSubBucketCount / 2);
 
-  LatencyHistogram() = default;
-  LatencyHistogram(const LatencyHistogram&) = delete;
-  LatencyHistogram& operator=(const LatencyHistogram&) = delete;
+  Histogram() = default;
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
 
-  /// Records one value: relaxed atomic increments only.
-  void record(std::int64_t value) noexcept;
+  /// Records `samples` observations of `value` (none when samples < 1):
+  /// relaxed atomic increments only.
+  void record(std::int64_t value, std::int64_t samples = 1) noexcept;
 
-  [[nodiscard]] LatencySnapshot snapshot() const;
+  [[nodiscard]] HistogramSnapshot snapshot() const;
 
   [[nodiscard]] std::int64_t count() const noexcept {
     return static_cast<std::int64_t>(count_.load(std::memory_order_relaxed));
@@ -106,8 +110,8 @@ class LatencyHistogram {
 };
 
 /// RAII timer recording elapsed steady-clock nanoseconds into a named
-/// LatencyHistogram from the process Registry. Inert when metrics are
-/// disabled at construction. The resolved histogram reference follows the
+/// Histogram from the process Registry. Inert when metrics are disabled at
+/// construction. The resolved histogram reference follows the
 /// Registry::histogram() lifetime rule: valid until Registry::clear().
 class LatencyTimer {
  public:
@@ -123,11 +127,8 @@ class LatencyTimer {
   [[nodiscard]] bool active() const noexcept { return hist_ != nullptr; }
 
  private:
-  LatencyHistogram* hist_ = nullptr;
+  Histogram* hist_ = nullptr;
   std::chrono::steady_clock::time_point start_;
 };
-
-/// Records `ns` into the named histogram (no-op with metrics disabled).
-void record_latency(std::string_view name, std::int64_t ns);
 
 }  // namespace mempart::obs

@@ -1,43 +1,11 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
+#include <vector>
 
-#include "common/errors.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 
 namespace mempart::obs {
-
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)),
-      buckets_(bounds_.size() + 1, 0) {
-  MEMPART_REQUIRE(std::is_sorted(bounds_.begin(), bounds_.end()) &&
-                      std::adjacent_find(bounds_.begin(), bounds_.end()) ==
-                          bounds_.end(),
-                  "Histogram: upper bounds must be strictly increasing");
-}
-
-void Histogram::observe(double value) {
-  const MutexLock lock(mutex_);
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  ++buckets_[static_cast<size_t>(it - bounds_.begin())];
-  ++count_;
-  sum_ += value;
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
-}
-
-Histogram::Snapshot Histogram::snapshot() const {
-  const MutexLock lock(mutex_);
-  Snapshot snap;
-  snap.upper_bounds = bounds_;
-  snap.buckets = buckets_;
-  snap.count = count_;
-  snap.sum = sum_;
-  snap.min = min_;
-  snap.max = max_;
-  return snap;
-}
 
 Registry& Registry::instance() {
   static Registry registry;
@@ -76,14 +44,12 @@ double Registry::gauge(std::string_view name) const {
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
-Histogram& Registry::histogram(std::string_view name,
-                               const std::vector<double>& upper_bounds) {
+Histogram& Registry::histogram(std::string_view name) {
   const MutexLock lock(mutex_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(upper_bounds))
+             .emplace(std::string(name), std::make_unique<Histogram>())
              .first;
   }
   return *it->second;
@@ -93,23 +59,6 @@ const Histogram* Registry::find_histogram(std::string_view name) const {
   const MutexLock lock(mutex_);
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : it->second.get();
-}
-
-LatencyHistogram& Registry::latency(std::string_view name) {
-  const MutexLock lock(mutex_);
-  auto it = latencies_.find(name);
-  if (it == latencies_.end()) {
-    it = latencies_
-             .emplace(std::string(name), std::make_unique<LatencyHistogram>())
-             .first;
-  }
-  return *it->second;
-}
-
-const LatencyHistogram* Registry::find_latency(std::string_view name) const {
-  const MutexLock lock(mutex_);
-  const auto it = latencies_.find(name);
-  return it == latencies_.end() ? nullptr : it->second.get();
 }
 
 std::map<std::string, std::int64_t> Registry::counters() const {
@@ -122,7 +71,7 @@ std::map<std::string, double> Registry::gauges() const {
   return {gauges_.begin(), gauges_.end()};
 }
 
-std::map<std::string, Histogram::Snapshot> Registry::histograms() const {
+std::map<std::string, HistogramSnapshot> Registry::histograms() const {
   std::vector<std::pair<std::string, const Histogram*>> refs;
   {
     const MutexLock lock(mutex_);
@@ -131,25 +80,9 @@ std::map<std::string, Histogram::Snapshot> Registry::histograms() const {
       refs.emplace_back(name, hist.get());
     }
   }
-  // Snapshots are taken outside the registry lock (Histogram has its own)
-  // so concurrent observe() calls are never blocked on an export.
-  std::map<std::string, Histogram::Snapshot> out;
-  for (const auto& [name, hist] : refs) out.emplace(name, hist->snapshot());
-  return out;
-}
-
-std::map<std::string, LatencySnapshot> Registry::latencies() const {
-  std::vector<std::pair<std::string, const LatencyHistogram*>> refs;
-  {
-    const MutexLock lock(mutex_);
-    refs.reserve(latencies_.size());
-    for (const auto& [name, hist] : latencies_) {
-      refs.emplace_back(name, hist.get());
-    }
-  }
   // Snapshots are lock-free reads, taken outside the registry lock so
   // concurrent record() calls are never blocked on an export.
-  std::map<std::string, LatencySnapshot> out;
+  std::map<std::string, HistogramSnapshot> out;
   for (const auto& [name, hist] : refs) out.emplace(name, hist->snapshot());
   return out;
 }
@@ -159,7 +92,6 @@ void Registry::clear() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-  latencies_.clear();
 }
 
 void count(std::string_view name, std::int64_t delta) {
@@ -177,10 +109,13 @@ void gauge(std::string_view name, double value) {
   Registry::instance().gauge_set(name, value);
 }
 
-void observe(std::string_view name, double value,
-             const std::vector<double>& upper_bounds) {
-  if (!metrics_enabled()) return;
-  Registry::instance().histogram(name, upper_bounds).observe(value);
+void observe(std::string_view name, std::int64_t value) {
+  if (Histogram* hist = histogram_if_enabled(name)) hist->record(value);
+}
+
+Histogram* histogram_if_enabled(std::string_view name) {
+  if (!metrics_enabled()) return nullptr;
+  return &Registry::instance().histogram(name);
 }
 
 void record_op_tally(const OpTally& tally, std::string_view prefix) {
@@ -191,14 +126,6 @@ void record_op_tally(const OpTally& tally, std::string_view prefix) {
   registry.counter_add(base + ".mul", tally.mul);
   registry.counter_add(base + ".div", tally.div);
   registry.counter_add(base + ".compare", tally.compare);
-}
-
-std::vector<double> pow2_bounds(int n) {
-  std::vector<double> bounds;
-  bounds.reserve(static_cast<size_t>(n));
-  double bound = 1.0;
-  for (int i = 0; i < n; ++i, bound *= 2.0) bounds.push_back(bound);
-  return bounds;
 }
 
 }  // namespace mempart::obs

@@ -1,27 +1,26 @@
-// Process-wide metrics registry: named counters, gauges and fixed-bucket
-// histograms.
+// Process-wide metrics registry: named counters, gauges and histograms.
 //
 // Everything the paper reports is a number — solver op counts (Table 1),
 // bank-load balance, conflict cycles, delta_P per candidate N — so the
 // registry gives each of those a stable name and a machine-readable export
-// (obs/sinks.h renders the whole registry as JSON). Counters accumulate
-// int64 deltas, gauges hold the last written double, and histograms count
-// observations into caller-fixed buckets plus an overflow bucket, tracking
-// count/sum/min/max alongside.
+// (obs/snapshot.h renders the whole registry as OpenMetrics text or one
+// NDJSON sample). Counters accumulate int64 deltas, gauges hold the last
+// written double, and histograms are the lock-free log-linear
+// obs::Histogram (obs/histogram.h) — one type for latencies and integer
+// distributions alike.
 //
-// All mutation goes through the registry mutex (histograms carry their
-// own), so concurrent instrumented code merges correctly. The free helpers
-// (count/gauge/observe) first check obs::metrics_enabled() — a thread-local
-// read — so disabled instrumentation stays out of the hot-path profile.
+// Name lookups and counter/gauge writes go through the registry mutex;
+// histogram recording itself is lock-free once the histogram is resolved.
+// The free helpers (count/gauge/observe) first check
+// obs::metrics_enabled() — a thread-local read — so disabled
+// instrumentation stays out of the hot-path profile.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/annotations.h"
 #include "common/op_counter.h"
@@ -30,42 +29,6 @@
 #include "obs/trace.h"  // for the metrics_enabled() hot-path guard
 
 namespace mempart::obs {
-
-/// Fixed-bucket histogram. Buckets are "value <= bound" with an implicit
-/// final +inf bucket; bounds must be strictly increasing.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
-
-  void observe(double value);
-
-  /// Immutable snapshot of the histogram state.
-  struct Snapshot {
-    std::vector<double> upper_bounds;   ///< finite bounds, ascending
-    std::vector<std::int64_t> buckets;  ///< size() == upper_bounds.size() + 1
-    std::int64_t count = 0;
-    double sum = 0.0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-
- private:
-  mutable Mutex mutex_;
-  /// Bucket bounds are fixed at construction and never mutated, so they are
-  /// readable without the mutex; everything observed is guarded.
-  std::vector<double> bounds_;
-  /// bounds_.size() + 1 (overflow last)
-  std::vector<std::int64_t> buckets_ MEMPART_GUARDED_BY(mutex_);
-  std::int64_t count_ MEMPART_GUARDED_BY(mutex_) = 0;
-  double sum_ MEMPART_GUARDED_BY(mutex_) = 0.0;
-  double min_ MEMPART_GUARDED_BY(mutex_) =
-      std::numeric_limits<double>::infinity();
-  double max_ MEMPART_GUARDED_BY(mutex_) =
-      -std::numeric_limits<double>::infinity();
-};
 
 /// Process-wide name -> metric store.
 class Registry {
@@ -78,27 +41,17 @@ class Registry {
   void gauge_set(std::string_view name, double value);
   [[nodiscard]] double gauge(std::string_view name) const;
 
-  /// Gets or creates the named histogram. `upper_bounds` is consulted only
-  /// on creation; later callers receive the existing instance regardless.
-  Histogram& histogram(std::string_view name,
-                       const std::vector<double>& upper_bounds);
+  /// Gets or creates the named histogram (obs/histogram.h). Every
+  /// histogram shares one fixed bucket layout, so there are no creation
+  /// parameters; the returned reference stays valid until clear().
+  Histogram& histogram(std::string_view name);
 
   /// Nullptr when the histogram does not exist.
   [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
 
-  /// Gets or creates the named latency histogram (obs/histogram.h). All
-  /// latency histograms share one fixed bucket layout, so there are no
-  /// creation parameters; the returned reference stays valid until clear().
-  LatencyHistogram& latency(std::string_view name);
-
-  /// Nullptr when the latency histogram does not exist.
-  [[nodiscard]] const LatencyHistogram* find_latency(
-      std::string_view name) const;
-
   [[nodiscard]] std::map<std::string, std::int64_t> counters() const;
   [[nodiscard]] std::map<std::string, double> gauges() const;
-  [[nodiscard]] std::map<std::string, Histogram::Snapshot> histograms() const;
-  [[nodiscard]] std::map<std::string, LatencySnapshot> latencies() const;
+  [[nodiscard]] std::map<std::string, HistogramSnapshot> histograms() const;
 
   /// Drops every metric.
   void clear();
@@ -111,14 +64,10 @@ class Registry {
   std::map<std::string, double, std::less<>> gauges_
       MEMPART_GUARDED_BY(mutex_);
   /// The map is guarded; the Histogram objects pointed to are internally
-  /// synchronized (each carries its own mutex), so references handed out by
-  /// histogram() stay usable without the registry lock.
+  /// lock-free, so references handed out by histogram() stay usable
+  /// without the registry lock.
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       MEMPART_GUARDED_BY(mutex_);
-  /// Same discipline as histograms_: the map is guarded, the
-  /// LatencyHistogram objects are internally lock-free.
-  std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>>
-      latencies_ MEMPART_GUARDED_BY(mutex_);
 };
 
 /// The helpers below are the instrumentation entry points: they no-op
@@ -130,20 +79,18 @@ void count(std::string_view name, std::int64_t delta = 1);
 /// Sets the named gauge.
 void gauge(std::string_view name, double value);
 
-/// Records one observation into the named histogram (created with
-/// `upper_bounds` on first use). Hot paths should pass a bounds vector
-/// that outlives the call (e.g. a function-local `static`) so nothing is
-/// constructed when metrics are disabled.
-void observe(std::string_view name, double value,
-             const std::vector<double>& upper_bounds);
+/// Records one value into the named histogram (created on first use).
+void observe(std::string_view name, std::int64_t value);
+
+/// The named histogram when metrics are enabled on the calling thread,
+/// nullptr otherwise. A loop that records many values resolves once and
+/// records through the pointer (valid until Registry::clear()), paying
+/// one registry lookup per call instead of one per value.
+[[nodiscard]] Histogram* histogram_if_enabled(std::string_view name);
 
 /// Bridges an OpScope tally into counters `<prefix>.{add,mul,div,compare}`.
 /// This is how Table 1's solver arithmetic reaches the metrics export.
 void record_op_tally(const OpTally& tally,
                      std::string_view prefix = "solver.ops");
-
-/// Power-of-two bounds {1, 2, 4, ..., 2^(n-1)} — the default shape for
-/// open-ended count distributions (bank loads, probe counts).
-[[nodiscard]] std::vector<double> pow2_bounds(int n);
 
 }  // namespace mempart::obs

@@ -1,7 +1,5 @@
 #include "obs/sinks.h"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -9,13 +7,6 @@
 
 namespace mempart::obs {
 namespace {
-
-std::string render_double(double value) {
-  if (std::isinf(value)) return value > 0 ? "1e999" : "-1e999";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 void append_args(std::ostringstream& os,
                  const std::vector<std::pair<std::string, std::string>>& args) {
@@ -75,61 +66,6 @@ std::string trace_text_report(const TraceLog& log) {
     }
     os << '\n';
   }
-  return os.str();
-}
-
-std::string metrics_json(const Registry& registry) {
-  std::ostringstream os;
-  os << "{\n\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : registry.counters()) {
-    if (!first) os << ',';
-    first = false;
-    os << "\n  \"" << json_escape(name) << "\":" << value;
-  }
-  os << "\n},\n\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : registry.gauges()) {
-    if (!first) os << ',';
-    first = false;
-    os << "\n  \"" << json_escape(name) << "\":" << render_double(value);
-  }
-  os << "\n},\n\"histograms\":{";
-  first = true;
-  for (const auto& [name, snap] : registry.histograms()) {
-    if (!first) os << ',';
-    first = false;
-    os << "\n  \"" << json_escape(name) << "\":{\"upper_bounds\":[";
-    for (size_t i = 0; i < snap.upper_bounds.size(); ++i) {
-      if (i > 0) os << ',';
-      os << render_double(snap.upper_bounds[i]);
-    }
-    os << "],\"buckets\":[";
-    for (size_t i = 0; i < snap.buckets.size(); ++i) {
-      if (i > 0) os << ',';
-      os << snap.buckets[i];
-    }
-    os << "],\"count\":" << snap.count << ",\"sum\":" << render_double(snap.sum);
-    if (snap.count > 0) {
-      os << ",\"min\":" << render_double(snap.min)
-         << ",\"max\":" << render_double(snap.max);
-    }
-    os << '}';
-  }
-  // Latency series carry the same fields as the NDJSON snapshot's
-  // "latency" section (obs/snapshot.cpp).
-  os << "\n},\n\"latency\":{";
-  first = true;
-  for (const auto& [name, snap] : registry.latencies()) {
-    if (!first) os << ',';
-    first = false;
-    os << "\n  \"" << json_escape(name) << "\":{\"count\":" << snap.count
-       << ",\"sum\":" << snap.sum << ",\"min\":" << snap.min
-       << ",\"max\":" << snap.max << ",\"p50\":" << snap.p50()
-       << ",\"p90\":" << snap.p90() << ",\"p99\":" << snap.p99()
-       << ",\"p999\":" << snap.p999() << '}';
-  }
-  os << "\n}\n}\n";
   return os.str();
 }
 

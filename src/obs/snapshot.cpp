@@ -7,6 +7,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -203,7 +204,11 @@ bool valid_metric_name(std::string_view name) {
   return true;
 }
 
-void check_comment_line(std::string_view line, int line_number) {
+/// Checks one comment line. `typed` collects the families declared so far:
+/// OpenMetrics allows one `# TYPE` line per family, so a second one means
+/// two exports of the same name (say, a counter and a gauge) collided.
+void check_comment_line(std::string_view line, int line_number,
+                        std::set<std::string>& typed) {
   // "# TYPE <name> <type>" / "# HELP <name> <text>" / "# UNIT <name> <u>".
   std::istringstream in{std::string(line)};
   std::string hash;
@@ -224,6 +229,10 @@ void check_comment_line(std::string_view line, int line_number) {
                         type == "stateset" || type == "gaugehistogram",
                     "openmetrics line " + std::to_string(line_number) +
                         ": unknown metric type '" + type + "'");
+    MEMPART_REQUIRE(typed.insert(name).second,
+                    "openmetrics line " + std::to_string(line_number) +
+                        ": second # TYPE for family '" + name + "' in '" +
+                        std::string(line) + "'");
   }
 }
 
@@ -315,19 +324,6 @@ std::string openmetrics_text(const Registry& registry) {
   }
   for (const auto& [name, snap] : registry.histograms()) {
     const std::string metric = sanitize_name(name);
-    os << "# TYPE " << metric << " histogram\n";
-    std::int64_t cumulative = 0;
-    for (size_t i = 0; i < snap.upper_bounds.size(); ++i) {
-      cumulative += snap.buckets[i];
-      os << metric << "_bucket{le=\"" << render_value(snap.upper_bounds[i])
-         << "\"} " << cumulative << '\n';
-    }
-    os << metric << "_bucket{le=\"+Inf\"} " << snap.count << '\n'
-       << metric << "_sum " << render_value(snap.sum) << '\n'
-       << metric << "_count " << snap.count << '\n';
-  }
-  for (const auto& [name, snap] : registry.latencies()) {
-    const std::string metric = sanitize_name(name);
     os << "# TYPE " << metric << " summary\n";
     for (size_t q = 0; q < std::size(kQuantiles); ++q) {
       os << metric << "{quantile=\"" << kQuantileLabels[q] << "\"} "
@@ -356,17 +352,11 @@ std::string ndjson_sample(const Registry& registry) {
        << "\":" << render_value(value);
     first = false;
   }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, snap] : registry.histograms()) {
-    os << (first ? "" : ",") << '"' << json_escape(name)
-       << "\":{\"count\":" << snap.count
-       << ",\"sum\":" << render_value(snap.sum) << '}';
-    first = false;
-  }
+  // Every histogram, latency or integer distribution, exports under the
+  // "latency" key: readers (mempart stats, CI's smokes) key on that name.
   os << "},\"latency\":{";
   first = true;
-  for (const auto& [name, snap] : registry.latencies()) {
+  for (const auto& [name, snap] : registry.histograms()) {
     os << (first ? "" : ",") << '"' << json_escape(name)
        << "\":{\"count\":" << snap.count << ",\"sum\":" << snap.sum
        << ",\"min\":" << snap.min << ",\"max\":" << snap.max
@@ -384,6 +374,7 @@ MetricSample parse_openmetrics(const std::string& text) {
   std::string line;
   int line_number = 0;
   bool saw_eof = false;
+  std::set<std::string> typed;
   while (std::getline(in, line)) {
     ++line_number;
     MEMPART_REQUIRE(!saw_eof, "openmetrics line " +
@@ -397,7 +388,7 @@ MetricSample parse_openmetrics(const std::string& text) {
       continue;
     }
     if (line.front() == '#') {
-      check_comment_line(line, line_number);
+      check_comment_line(line, line_number, typed);
       continue;
     }
     out.insert(parse_sample_line(line, line_number));

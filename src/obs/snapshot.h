@@ -1,21 +1,18 @@
 // Live metric snapshots: OpenMetrics + NDJSON export, and the periodic
 // snapshotter thread behind `mempart --openmetrics/--ndjson`.
 //
-// PR 1's obs export was one-shot JSON written at process exit — useless
-// for a long batch job, a fuzz soak, or the roadmap's `mempart serve`.
-// This module serialises the full metrics registry (counters, gauges,
-// fixed-bucket histograms, latency histograms with percentiles) in two
-// live-consumable formats:
+// This module serialises the full metrics registry (counters, gauges and
+// histograms with percentiles) in the registry's two export formats:
 //
 //   - openmetrics_text(): the OpenMetrics / Prometheus text exposition
-//     format. Counters become `<name>_total`, gauges `gauge`, fixed-bucket
-//     histograms `histogram` (cumulative `_bucket{le=...}` + _sum/_count),
-//     latency histograms `summary` (quantile series + _sum/_count). Metric
-//     names are prefixed `mempart_` and '.' maps to '_'. Ends with `# EOF`.
+//     format. Counters become `<name>_total`, gauges `gauge`, histograms
+//     `summary` (quantile series + _sum/_count). Metric names are prefixed
+//     `mempart_` and '.' maps to '_'. Ends with `# EOF`.
 //   - ndjson_sample(): one self-contained JSON object per call — wall-clock
-//     timestamp, every counter/gauge, and per-latency-histogram
-//     count/sum/min/max/p50/p90/p99/p999 — designed to be appended to an
-//     NDJSON file as an immediately greppable time series.
+//     timestamp, every counter/gauge, and per-histogram
+//     count/sum/min/max/p50/p90/p99/p999 under the "latency" key — designed
+//     to be appended to an NDJSON file as an immediately greppable time
+//     series. `--metrics FILE` writes one such sample.
 //
 // parse_openmetrics() / last_ndjson_sample() read both formats back
 // (strictly: a malformed line throws InvalidArgument), powering the
@@ -55,12 +52,13 @@ using MetricSample = std::map<std::string, double>;
 
 /// Parses OpenMetrics text, validating the line grammar (# TYPE/# HELP/
 /// # UNIT/# EOF comments, `name[{labels}] value [timestamp]` samples,
-/// metric-name charset). Throws InvalidArgument on any malformed line.
+/// metric-name charset, one # TYPE line per family). Throws
+/// InvalidArgument on any malformed line.
 [[nodiscard]] MetricSample parse_openmetrics(const std::string& text);
 
 /// Parses the LAST sample line of an NDJSON series into the same flat view
-/// (counters/gauges keep their dotted names; latency histograms expand to
-/// `<name>.p50` etc). Throws InvalidArgument on malformed JSON or an empty
+/// (counters/gauges keep their dotted names; histograms expand to
+/// `latency.<name>.p50` etc). Throws InvalidArgument on malformed JSON or an empty
 /// series.
 [[nodiscard]] MetricSample last_ndjson_sample(const std::string& text);
 

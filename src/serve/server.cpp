@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -169,7 +170,6 @@ void Server::send_response(const std::shared_ptr<ResponseSink>& sink,
                            const std::string& line) {
   if (!sink->write_line(line)) {
     write_failures_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("serve.write_failures");
   }
 }
 
@@ -195,7 +195,6 @@ void Server::handle_line(const std::string& line,
     return;
   }
   shed_.fetch_add(1, std::memory_order_relaxed);
-  obs::count("serve.shed");
   const std::string reason =
       queue_.closed()
           ? "server draining; retry against the next instance"
@@ -227,8 +226,7 @@ void Server::worker_loop() {
     const auto start = std::chrono::steady_clock::now();
     requests.clear();
     for (const Job& job : jobs) {
-      obs::record_latency("serve.queue_wait.ns",
-                          elapsed_ns(job.admitted_at, start));
+      obs::observe("serve.queue_wait.ns", elapsed_ns(job.admitted_at, start));
       requests.push_back(job.request.request);
     }
     std::vector<BatchResult> results;
@@ -248,14 +246,14 @@ void Server::worker_loop() {
         send_response(job.sink, error_response(job.request, result.error));
       }
       const std::int64_t request_ns = elapsed_ns(job.admitted_at, done);
-      obs::record_latency("serve.request.ns", request_ns);
+      obs::observe("serve.request.ns", request_ns);
       // Split by cache outcome: a hit is a rehydration (microseconds), a
       // miss waits on a cold solve, so the combined histogram is bimodal
       // and its percentiles track neither population. The miss series is
       // the one capacity planning cares about.
-      obs::record_latency(result.cache_hit ? "serve.request.hit.ns"
-                                           : "serve.request.miss.ns",
-                          request_ns);
+      obs::observe(result.cache_hit ? "serve.request.hit.ns"
+                                    : "serve.request.miss.ns",
+                   request_ns);
     }
   }
 }
@@ -285,30 +283,38 @@ ServeSummary Server::run_pipe(std::istream& in, std::ostream& out) {
 ServeSummary Server::run_socket() {
   const std::string& path = options_.socket_path;
   MEMPART_REQUIRE(!path.empty(), "serve: run_socket needs a socket path");
+  // bind() creates the socket file, and a connect before listen() is
+  // refused. So the socket is bound under a temporary name beside the
+  // final one and renamed into place once it listens: a client that waits
+  // for the path and then connects is never refused. The rename also
+  // replaces a stale socket left by a crashed run.
+  const std::string suffix = ".tmp" + std::to_string(::getpid());
+  const std::string bound = path + suffix;
   sockaddr_un addr{};
-  MEMPART_REQUIRE(path.size() < sizeof(addr.sun_path),
+  MEMPART_REQUIRE(bound.size() < sizeof(addr.sun_path),
                   "serve: socket path too long for AF_UNIX (max " +
-                      std::to_string(sizeof(addr.sun_path) - 1) + " bytes)");
+                      std::to_string(sizeof(addr.sun_path) - 1 -
+                                     suffix.size()) +
+                      " bytes)");
   const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   MEMPART_REQUIRE(listen_fd >= 0,
                   std::string("serve: socket(): ") + std::strerror(errno));
+  const auto fail = [&](const char* call) {
+    const int err = errno;
+    ::close(listen_fd);
+    ::unlink(bound.c_str());
+    throw InvalidArgument(std::string("serve: ") + call + " '" + path +
+                          "': " + std::strerror(err));
+  };
   addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  ::unlink(path.c_str());  // a stale socket from a crashed run blocks bind
+  std::strncpy(addr.sun_path, bound.c_str(), sizeof(addr.sun_path) - 1);
+  ::unlink(bound.c_str());  // left by a crashed run with the same pid
   if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(listen_fd);
-    throw InvalidArgument("serve: bind '" + path +
-                          "': " + std::strerror(err));
+    fail("bind");
   }
-  if (::listen(listen_fd, 64) != 0) {
-    const int err = errno;
-    ::close(listen_fd);
-    ::unlink(path.c_str());
-    throw InvalidArgument("serve: listen '" + path +
-                          "': " + std::strerror(err));
-  }
+  if (::listen(listen_fd, 64) != 0) fail("listen");
+  if (::rename(bound.c_str(), path.c_str()) != 0) fail("rename");
 
   start_workers();
   // One reader thread per connection. Each flags its own exit, and the
@@ -337,7 +343,6 @@ ServeSummary Server::run_socket() {
     const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) continue;
     connections_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("serve.connections");
     auto connection = std::make_shared<Connection>(fd);
     std::erase_if(live, [](const std::weak_ptr<Connection>& w) {
       return w.expired();

@@ -82,8 +82,9 @@ class Server {
   ServeSummary run_pipe(std::istream& in, std::ostream& out);
 
   /// Runs socket mode until request_shutdown() — then stops accepting,
-  /// unblocks connection readers, drains, and returns. Blocking. Throws
-  /// Error when the socket cannot be created/bound.
+  /// unblocks connection readers, drains, and returns. Blocking. The
+  /// socket path appears only once the socket listens. Throws Error when
+  /// the socket cannot be created/bound.
   ServeSummary run_socket();
 
   /// Initiates the graceful drain. Async-signal-safe (an atomic store plus

@@ -55,10 +55,8 @@ Count AccessEngine::issue(const std::vector<NdIndex>& group) {
   stats_.worst_group_cycles = std::max(stats_.worst_group_cycles, group_cycles);
   // Per-group conflict-cycle distribution. This runs once per simulated
   // iteration, so the disabled path must stay a thread-local read plus a
-  // branch: the bounds vector is a function-local static, built once.
-  static const std::vector<double> kConflictBounds = obs::pow2_bounds(8);
-  obs::observe("sim.conflict_cycles_per_group",
-               static_cast<double>(group_cycles - 1), kConflictBounds);
+  // branch.
+  obs::observe("sim.conflict_cycles_per_group", group_cycles - 1);
   return group_cycles;
 }
 
@@ -74,11 +72,15 @@ Count AccessEngine::issue_batch_soa(std::span<const Count> banks, Count taps,
   obs::Span span("sim.issue_batch");
   span.arg("banks", static_cast<Count>(banks.size())).arg("group", taps);
   obs::LatencyTimer timer("sim.issue_batch.ns");
+  // The per-group conflict-cycle distribution issue() records, resolved
+  // once per block; null with metrics off.
+  obs::Histogram* const conflicts =
+      obs::histogram_if_enabled("sim.conflict_cycles_per_group");
   const Count num_banks = map_.num_banks();
   const size_t plane = static_cast<size_t>(groups);
 
   Count batch_cycles = 0;
-  if (num_banks <= 64 && !obs::metrics_enabled()) {
+  if (num_banks <= 64) {
     // Bitmask conflict test across whole lane blocks of groups: a group is
     // conflict-free iff no tap's occupancy bit was already set, and such a
     // group costs exactly ceil(1/ports) = 1 cycle. Only collided groups
@@ -113,6 +115,8 @@ Count AccessEngine::issue_batch_soa(std::span<const Count> banks, Count taps,
     }
     batch_cycles = groups - collided_groups;
     Count worst_cycles = collided_groups < groups ? 1 : 0;
+    // The conflict-free groups are one weighted sample of 0 extra cycles.
+    if (conflicts != nullptr) conflicts->record(0, groups - collided_groups);
     for (Count g = 0; collided_groups > 0 && g < groups; ++g) {
       if (collided_[static_cast<size_t>(g)] == 0) continue;
       const Count epoch = epoch_++;
@@ -128,6 +132,12 @@ Count AccessEngine::issue_batch_soa(std::span<const Count> banks, Count taps,
       const Count group_cycles = ceil_div(worst, ports_);
       batch_cycles += group_cycles;
       worst_cycles = std::max(worst_cycles, group_cycles);
+      // Cold: marked so, the opaque call does not push the loop's values
+      // out of registers (without the hint a capped LoG frame took 1.5x
+      // as long with metrics off).
+      if (conflicts != nullptr) [[unlikely]] {
+        conflicts->record(group_cycles - 1);
+      }
     }
     stats_.iterations += groups;
     stats_.accesses += checked_mul(taps, groups);
@@ -136,12 +146,11 @@ Count AccessEngine::issue_batch_soa(std::span<const Count> banks, Count taps,
     stats_.worst_group_cycles =
         std::max(stats_.worst_group_cycles, worst_cycles);
   } else {
-    // Exact scalar path: more than 64 banks (occupancy no longer fits one
-    // word) or metrics enabled (the per-group histogram observation below
-    // must fire for every group, as issue() does). Validate every plane
-    // before scoring touches a table: branch-free OR-accumulate, one assert
-    // per tap plane — bank and (num_banks - 1 - bank) are both non-negative
-    // exactly when the bank is in [0, num_banks).
+    // Exact scalar path: more than 64 banks, so occupancy no longer fits
+    // one word. Validate every plane before scoring touches a table:
+    // branch-free OR-accumulate, one assert per tap plane — bank and
+    // (num_banks - 1 - bank) are both non-negative exactly when the bank is
+    // in [0, num_banks).
     for (size_t t = 0; t < static_cast<size_t>(taps); ++t) {
       const Count* row = banks.data() + t * plane;
       Count range_acc = 0;
@@ -151,7 +160,6 @@ Count AccessEngine::issue_batch_soa(std::span<const Count> banks, Count taps,
       MEMPART_ASSERT(range_acc >= 0,
                      "issue_batch_soa: bank out of range in tap plane");
     }
-    static const std::vector<double> kConflictBounds = obs::pow2_bounds(8);
     for (Count g = 0; g < groups; ++g) {
       const Count epoch = epoch_++;
       Count worst = 0;
@@ -171,8 +179,9 @@ Count AccessEngine::issue_batch_soa(std::span<const Count> banks, Count taps,
       stats_.conflict_cycles += group_cycles - 1;
       stats_.worst_group_cycles =
           std::max(stats_.worst_group_cycles, group_cycles);
-      obs::observe("sim.conflict_cycles_per_group",
-                   static_cast<double>(group_cycles - 1), kConflictBounds);
+      if (conflicts != nullptr) [[unlikely]] {
+        conflicts->record(group_cycles - 1);
+      }
       batch_cycles += group_cycles;
     }
   }
@@ -199,13 +208,13 @@ void publish_stats(const AccessStats& stats, std::string_view prefix) {
   Count min_load = stats.bank_load.front();
   Count max_load = min_load;
   Count total = 0;
-  static const std::vector<double> kLoadBounds = obs::pow2_bounds(24);
-  const std::string load_metric = base + ".bank_load";
+  obs::Histogram& loads =
+      obs::Registry::instance().histogram(base + ".bank_load");
   for (const Count load : stats.bank_load) {
     min_load = std::min(min_load, load);
     max_load = std::max(max_load, load);
     total += load;
-    obs::observe(load_metric, static_cast<double>(load), kLoadBounds);
+    loads.record(load);
   }
   obs::gauge(base + ".bank_load.min", static_cast<double>(min_load));
   obs::gauge(base + ".bank_load.max", static_cast<double>(max_load));

@@ -52,12 +52,14 @@ class AccessEngine {
   /// [t * groups, (t+1) * groups)); returns the cycles the block needed.
   /// Statistics are bit-identical to calling issue() once per group, but
   /// it skips all address resolution and the per-group demand-vector clear
-  /// (epoch-stamped counting). For N <= 64 banks with metrics disabled,
-  /// conflict-free groups are detected by a vectorized bank-occupancy
-  /// bitmask (one 64-bit occupancy word per group, SIMD across groups) and
-  /// cost exactly one cycle each; only the collided groups fall back to
-  /// exact epoch-stamped demand counting. N > 64 or metrics enabled takes
-  /// the exact scalar path throughout.
+  /// (epoch-stamped counting). For N <= 64 banks, conflict-free groups are
+  /// detected by a vectorized bank-occupancy bitmask (one 64-bit occupancy
+  /// word per group, SIMD across groups) and cost exactly one cycle each;
+  /// only the collided groups fall back to exact epoch-stamped demand
+  /// counting. N > 64 takes the exact scalar path throughout. With metrics
+  /// on, either path records the same sim.conflict_cycles_per_group
+  /// distribution issue() does, the conflict-free groups as one weighted
+  /// sample.
   MEMPART_NOALLOC Count issue_batch_soa(std::span<const Count> banks,
                                         Count taps, Count groups);
 

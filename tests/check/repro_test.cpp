@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "check/config.h"
 #include "check/differential.h"
 #include "check/fuzzer.h"
@@ -50,6 +52,28 @@ TEST(CheckConfigJson, RejectsMalformedInput) {
   const std::string valid = sample_config().to_json();
   EXPECT_THROW((void)CheckConfig::from_json(valid + "trailing"),
                InvalidArgument);
+}
+
+TEST(CheckConfigJson, RejectsALoneSign) {
+  // strtoll reads a sign with no digit after it as 0, so each of these
+  // once parsed: the first as max_banks 0, the second as a duplicate of
+  // offset [0, 0], the third as offset [0, 1]. The diagnostic names the
+  // byte where the digit should be.
+  for (const std::string doc :
+       {R"({"offsets": [[0, 0], [0, 1], [1, 0]], "max_banks": +})",
+        R"({"offsets": [[0, 0], [0, -], [1, 0]]})",
+        R"({"offsets": [[0, 0], [-, 1], [1, 0]]})"}) {
+    const size_t digit = doc.find_first_of("+-") + 1;
+    try {
+      (void)CheckConfig::from_json(doc);
+      ADD_FAILURE() << "accepted " << doc;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("expected integer at byte " +
+                                           std::to_string(digit)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ReproDocument, EmbedsConfigAndDivergences) {

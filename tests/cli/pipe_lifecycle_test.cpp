@@ -125,6 +125,39 @@ TEST(CliPipeLifecycle, BatchExitsZeroWhenTheReaderStays) {
   std::remove(requests.c_str());
 }
 
+// A serve that fails after its telemetry session started (here: a socket
+// path that cannot be bound) unwinds through the session's final snapshot,
+// which reads the daemon's own cache and its server, so both must still be
+// alive then. A snapshot of the freed cache can block on a dead shard
+// mutex (seen under ASan), hence the timeout.
+TEST(CliPipeLifecycle, ServeFailingToBindStillWritesItsFinalSnapshot) {
+  const std::string om_path = temp_path("serve_bind_error.om");
+  std::remove(om_path.c_str());
+  const std::string out =
+      shell(std::string("timeout 60 " MEMPART_CLI_BIN) +
+            " serve --cache-capacity 8 --socket " +
+            temp_path("no_such_dir/serve.sock") + " --openmetrics " +
+            om_path + " < /dev/null 2>&1; echo \"CODE=$?\"");
+  EXPECT_NE(out.find("error: serve: bind"), std::string::npos) << out;
+  EXPECT_NE(out.find("CODE=1"), std::string::npos) << out;
+  const std::string om = read_file(om_path);
+  EXPECT_NO_THROW((void)obs::parse_openmetrics(om));
+  EXPECT_NE(om.find("mempart_cache_capacity 8"), std::string::npos) << om;
+  EXPECT_NE(om.find("mempart_serve_admitted"), std::string::npos) << om;
+  std::remove(om_path.c_str());
+}
+
+TEST(CliPipeLifecycle, ServeRejectsAZeroMaxBatch) {
+  const std::string om_path = temp_path("serve_max_batch.om");
+  const std::string out = shell(
+      std::string("timeout 60 " MEMPART_CLI_BIN) +
+      " serve --cache-capacity 8 --max-batch 0 --openmetrics " + om_path +
+      " < /dev/null 2>&1; echo \"CODE=$?\"");
+  EXPECT_NE(out.find("max_batch must be >= 1"), std::string::npos) << out;
+  EXPECT_NE(out.find("CODE=1"), std::string::npos) << out;
+  std::remove(om_path.c_str());
+}
+
 TEST(CliPipeLifecycle, RejectsABadEnvironmentAtStartup) {
   const std::string out =
       shell(std::string("MEMPART_THREADS=garbage " MEMPART_CLI_BIN

@@ -5,10 +5,9 @@
 #include <thread>
 #include <vector>
 
-#include "common/errors.h"
 #include "json_check.h"
 #include "obs/histogram.h"
-#include "obs/sinks.h"
+#include "obs/snapshot.h"
 #include "obs/trace.h"
 
 namespace mempart::obs {
@@ -48,36 +47,31 @@ TEST_F(MetricsTest, DisabledHelpersAreNoOps) {
   set_metrics_enabled(false);
   count("requests", 100);
   gauge("load", 1.0);
-  observe("latency", 5.0, {1.0, 10.0});
+  observe("latency", 5);
+  EXPECT_EQ(histogram_if_enabled("latency"), nullptr);
   set_metrics_enabled(true);
   EXPECT_EQ(Registry::instance().counter("requests"), 0);
   EXPECT_EQ(Registry::instance().find_histogram("latency"), nullptr);
 }
 
 TEST_F(MetricsTest, HistogramBucketing) {
-  // Buckets: <=1, <=4, <=16, overflow.
-  observe("h", 0.0, {1.0, 4.0, 16.0});
-  observe("h", 1.0, {1.0, 4.0, 16.0});  // boundary lands in its bucket
-  observe("h", 3.0, {1.0, 4.0, 16.0});
-  observe("h", 16.0, {1.0, 4.0, 16.0});
-  observe("h", 100.0, {1.0, 4.0, 16.0});
+  // Integers below Histogram::kSubBucketCount land in exact unit buckets;
+  // larger ones share log-linear buckets.
+  for (const std::int64_t v : {0, 1, 1, 3, 16, 100}) observe("h", v);
   const Histogram* hist = Registry::instance().find_histogram("h");
   ASSERT_NE(hist, nullptr);
-  const Histogram::Snapshot snap = hist->snapshot();
-  ASSERT_EQ(snap.buckets.size(), 4u);
-  EXPECT_EQ(snap.buckets[0], 2);  // 0, 1
-  EXPECT_EQ(snap.buckets[1], 1);  // 3
-  EXPECT_EQ(snap.buckets[2], 1);  // 16
-  EXPECT_EQ(snap.buckets[3], 1);  // 100 overflow
-  EXPECT_EQ(snap.count, 5);
-  EXPECT_DOUBLE_EQ(snap.sum, 120.0);
-  EXPECT_DOUBLE_EQ(snap.min, 0.0);
-  EXPECT_DOUBLE_EQ(snap.max, 100.0);
-}
-
-TEST_F(MetricsTest, HistogramRejectsUnsortedBounds) {
-  EXPECT_THROW(Histogram({4.0, 1.0}), InvalidArgument);
-  EXPECT_THROW(Histogram({1.0, 1.0}), InvalidArgument);
+  EXPECT_EQ(histogram_if_enabled("h"), hist);
+  const HistogramSnapshot snap = hist->snapshot();
+  EXPECT_EQ(snap.buckets[0], 1u);
+  EXPECT_EQ(snap.buckets[1], 2u);
+  EXPECT_EQ(snap.buckets[3], 1u);
+  EXPECT_EQ(snap.buckets[16], 1u);
+  EXPECT_EQ(snap.buckets[static_cast<size_t>(Histogram::bucket_index(100))],
+            1u);
+  EXPECT_EQ(snap.count, 6);
+  EXPECT_EQ(snap.sum, 121);
+  EXPECT_EQ(snap.min, 0);
+  EXPECT_EQ(snap.max, 100);
 }
 
 TEST_F(MetricsTest, CountersMergeAcrossThreads) {
@@ -89,7 +83,7 @@ TEST_F(MetricsTest, CountersMergeAcrossThreads) {
     threads.emplace_back([] {
       for (int i = 0; i < kIncrements; ++i) {
         count("merged");
-        observe("merged.hist", static_cast<double>(i % 8), pow2_bounds(3));
+        observe("merged.hist", i % 8);
       }
     });
   }
@@ -111,22 +105,18 @@ TEST_F(MetricsTest, RecordOpTallyBridgesCounters) {
   EXPECT_EQ(Registry::instance().counter("ltb.ops.add"), 10);
 }
 
+// The registry's one JSON export is the NDJSON sample, which `--metrics
+// FILE` writes: one object, every section keyed as below.
 TEST_F(MetricsTest, JsonRoundTrip) {
   count("solver.solves", 3);
   gauge("bank.load.mean", 12.5);
-  observe("delta", 0.0, {1.0, 2.0});
-  observe("delta", 5.0, {1.0, 2.0});
-  const std::string json = metrics_json();
-  const JsonValue root = JsonParser::parse(json);
+  observe("delta", 0);
+  observe("delta", 5);
+  const JsonValue root = JsonParser::parse(ndjson_sample());
 
   EXPECT_DOUBLE_EQ(root.at("counters").at("solver.solves").number, 3.0);
   EXPECT_DOUBLE_EQ(root.at("gauges").at("bank.load.mean").number, 12.5);
-  const JsonValue& hist = root.at("histograms").at("delta");
-  ASSERT_EQ(hist.at("upper_bounds").items.size(), 2u);
-  EXPECT_DOUBLE_EQ(hist.at("upper_bounds").items[0].number, 1.0);
-  ASSERT_EQ(hist.at("buckets").items.size(), 3u);
-  EXPECT_DOUBLE_EQ(hist.at("buckets").items[0].number, 1.0);
-  EXPECT_DOUBLE_EQ(hist.at("buckets").items[2].number, 1.0);
+  const JsonValue& hist = root.at("latency").at("delta");
   EXPECT_DOUBLE_EQ(hist.at("count").number, 2.0);
   EXPECT_DOUBLE_EQ(hist.at("sum").number, 5.0);
   EXPECT_DOUBLE_EQ(hist.at("min").number, 0.0);
@@ -134,18 +124,18 @@ TEST_F(MetricsTest, JsonRoundTrip) {
 }
 
 TEST_F(MetricsTest, EmptyRegistryExportsValidJson) {
-  const JsonValue root = JsonParser::parse(metrics_json());
+  const JsonValue root = JsonParser::parse(ndjson_sample());
   EXPECT_TRUE(root.at("counters").members.empty());
   EXPECT_TRUE(root.at("gauges").members.empty());
-  EXPECT_TRUE(root.at("histograms").members.empty());
+  EXPECT_TRUE(root.at("latency").members.empty());
 }
 
 TEST_F(MetricsTest, JsonExportsLatencySeries) {
-  // The file export carries the latency series the NDJSON sample and the
-  // OpenMetrics export already carry, with the same fields.
-  LatencyHistogram& solve = Registry::instance().latency("solve.ns");
+  // Every latency series carries count, sum, exact min/max and the four
+  // percentiles.
+  Histogram& solve = Registry::instance().histogram("solve.ns");
   for (const std::int64_t ns : {10, 20, 30, 40, 1000}) solve.record(ns);
-  const JsonValue root = JsonParser::parse(metrics_json());
+  const JsonValue root = JsonParser::parse(ndjson_sample());
   const JsonValue& series = root.at("latency").at("solve.ns");
   EXPECT_DOUBLE_EQ(series.at("count").number, 5.0);
   EXPECT_DOUBLE_EQ(series.at("sum").number, 1100.0);
@@ -155,13 +145,6 @@ TEST_F(MetricsTest, JsonExportsLatencySeries) {
   EXPECT_DOUBLE_EQ(series.at("p90").number, 1000.0);
   EXPECT_DOUBLE_EQ(series.at("p99").number, 1000.0);
   EXPECT_DOUBLE_EQ(series.at("p999").number, 1000.0);
-}
-
-TEST_F(MetricsTest, Pow2Bounds) {
-  const std::vector<double> bounds = pow2_bounds(4);
-  ASSERT_EQ(bounds.size(), 4u);
-  EXPECT_DOUBLE_EQ(bounds[0], 1.0);
-  EXPECT_DOUBLE_EQ(bounds[3], 8.0);
 }
 
 }  // namespace

@@ -42,20 +42,22 @@ class SnapshotTest : public ::testing::Test {
 TEST_F(SnapshotTest, OpenMetricsRendersEveryMetricFamily) {
   count("solver.solves", 3);
   gauge("cache.hits", 41.0);
-  observe("delta", 1.5, {1.0, 2.0});
-  record_latency("solve.ns", 100);
-  record_latency("solve.ns", 300);
+  observe("delta", 2);
+  observe("solve.ns", 100);
+  observe("solve.ns", 300);
   const std::string text = openmetrics_text();
   EXPECT_NE(text.find("# TYPE mempart_solver_solves counter\n"),
             std::string::npos);
   EXPECT_NE(text.find("mempart_solver_solves_total 3\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE mempart_cache_hits gauge\n"), std::string::npos);
   EXPECT_NE(text.find("mempart_cache_hits 41\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE mempart_delta histogram\n"), std::string::npos);
-  EXPECT_NE(text.find("mempart_delta_bucket{le=\"2\"} 1\n"),
+  // Integer distributions and latencies are the same histogram type, so
+  // both export as summary families.
+  EXPECT_NE(text.find("# TYPE mempart_delta summary\n"), std::string::npos);
+  EXPECT_NE(text.find("mempart_delta{quantile=\"0.5\"} 2\n"),
             std::string::npos);
-  EXPECT_NE(text.find("mempart_delta_bucket{le=\"+Inf\"} 1\n"),
-            std::string::npos);
+  EXPECT_NE(text.find("mempart_delta_sum 2\n"), std::string::npos);
+  EXPECT_EQ(text.find("histogram"), std::string::npos);
   EXPECT_NE(text.find("# TYPE mempart_solve_ns summary\n"), std::string::npos);
   EXPECT_NE(text.find("mempart_solve_ns{quantile=\"0.5\"} 100\n"),
             std::string::npos);
@@ -67,7 +69,7 @@ TEST_F(SnapshotTest, OpenMetricsRendersEveryMetricFamily) {
 TEST_F(SnapshotTest, OpenMetricsRoundTripsThroughTheParser) {
   count("solver.solves", 7);
   gauge("cache.hit_rate", 0.875);
-  record_latency("solve.ns", 50);
+  observe("solve.ns", 50);
   const MetricSample sample = parse_openmetrics(openmetrics_text());
   EXPECT_DOUBLE_EQ(sample.at("mempart_solver_solves_total"), 7.0);
   EXPECT_DOUBLE_EQ(sample.at("mempart_cache_hit_rate"), 0.875);
@@ -98,11 +100,35 @@ TEST_F(SnapshotTest, ParserEnforcesTheLineGrammar) {
   EXPECT_TRUE(std::isinf(inf.at("a")));
 }
 
+TEST_F(SnapshotTest, ParserRejectsASecondTypeLineForOneFamily) {
+  // OpenMetrics family names are unique: the same name exported as a
+  // counter and as a gauge is one malformed exposition, not two series.
+  const std::string text =
+      "# TYPE mempart_serve_shed counter\n"
+      "mempart_serve_shed_total 3\n"
+      "# TYPE mempart_serve_shed gauge\n"
+      "mempart_serve_shed 3\n"
+      "# EOF\n";
+  try {
+    (void)parse_openmetrics(text);
+    FAIL() << "a duplicate # TYPE line was accepted";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("# TYPE mempart_serve_shed gauge"), std::string::npos)
+        << what;
+  }
+  // Distinct families, and HELP/UNIT lines beside a TYPE, stay legal.
+  EXPECT_NO_THROW(parse_openmetrics(
+      "# TYPE a counter\n# HELP a help\na_total 1\n"
+      "# TYPE b gauge\nb 2\n# EOF\n"));
+}
+
 TEST_F(SnapshotTest, NdjsonSampleRoundTrips) {
   count("solver.solves", 5);
   gauge("cache.entries", 12.0);
-  record_latency("solve.ns", 64);
-  record_latency("solve.ns", 256);
+  observe("solve.ns", 64);
+  observe("solve.ns", 256);
   const std::string line = ndjson_sample();
   // One complete object per line, newline-terminated.
   EXPECT_EQ(line.back(), '\n');
@@ -264,7 +290,7 @@ TEST_F(SnapshotTest, ConcurrentRecordersWhileSnapshotting) {
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([] {
       for (int i = 0; i < 2000; ++i) {
-        record_latency("race.ns", i);
+        observe("race.ns", i);
         count("race.count");
       }
     });

@@ -64,6 +64,24 @@ TEST(ServeRequest, FillsTagsBestEffortOnAMalformedLine) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(ServeRequest, RejectsALoneSign) {
+  // strtoll reads a sign with no digit after it as 0; the grammar must
+  // reject it at the byte where the digit should be, tags still filled.
+  for (const std::string line :
+       {R"({"id": "a", "offsets": [[0, 0], [-, 1], [1, 0]]})",
+        R"({"id": "a", "offsets": [[0, 0], [0, 1], [1, 0]], "max_banks": +})",
+        R"({"id": "a", "offsets": [[0, 0], [0, -], [1, 0]]})"}) {
+    ServeRequest parsed;
+    std::string error;
+    EXPECT_FALSE(parse_request(line, parsed, &error)) << line;
+    const size_t digit = line.find_first_of("+-") + 1;
+    EXPECT_NE(error.find("expected integer at byte " + std::to_string(digit)),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(parsed.id, "a");
+  }
+}
+
 TEST(ServeRequest, RejectsSemanticallyInvalidPatterns) {
   ServeRequest parsed;
   std::string error;

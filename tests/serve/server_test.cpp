@@ -5,10 +5,14 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,6 +20,8 @@
 #include <vector>
 
 #include "core/solve_cache.h"
+#include "obs/metrics.h"
+#include "obs/snapshot.h"
 #include "pattern/pattern_library.h"
 #include "serve/request.h"
 
@@ -110,6 +116,43 @@ TEST(ServeServer, PipeModeShedsWhenTheQueueIsSaturated) {
   EXPECT_GT(summary.shed, 0);
   EXPECT_EQ(summary.solved, summary.admitted);
   EXPECT_NE(out.str().find("\"shed\": true"), std::string::npos);
+}
+
+// OpenMetrics allows one # TYPE line per family. The server's own atomics
+// publish serve.{shed,connections,write_failures} as gauges, so nothing may
+// also count those names as counters. A pipe-mode server whose output
+// stream is already bad fails its first response write deterministically.
+TEST(ServeServer, PublishedFamiliesHaveOneTypeEach) {
+  obs::set_metrics_enabled(true);
+  obs::Registry::instance().clear();
+  std::istringstream in("this is not json\n");
+  std::ostringstream out;
+  out.setstate(std::ios::badbit);
+  ServeOptions options;
+  options.threads = 1;
+  SolveCache cache(16);
+  options.cache = &cache;
+  Server server(options);
+  const ServeSummary summary = server.run_pipe(in, out);
+  EXPECT_EQ(summary.write_failures, 1);
+  EXPECT_TRUE(summary.downstream_closed);
+  server.publish_stats();
+  const std::string text = obs::openmetrics_text();
+  std::map<std::string, int> type_lines;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    ++type_lines[line.substr(7, line.find(' ', 7) - 7)];
+  }
+  for (const auto& [family, n] : type_lines) {
+    EXPECT_EQ(n, 1) << family << " has " << n << " # TYPE lines";
+  }
+  EXPECT_EQ(type_lines.count("mempart_serve_write_failures"), 1u);
+  EXPECT_EQ(type_lines.count("mempart_serve_shed"), 1u);
+  EXPECT_NO_THROW((void)obs::parse_openmetrics(text));
+  obs::Registry::instance().clear();
+  obs::set_metrics_enabled(false);
 }
 
 // ---------------------------------------------------------------------------
@@ -207,12 +250,39 @@ TEST(ServeServer, SocketModeServesConnectionsIndependently) {
   EXPECT_EQ(summary.solved, 2);
 }
 
-/// VmSize of this process in kB, from /proc/self/status; -1 if absent.
-long vm_size_kb() {
+// The socket path appears only once the server listens, so a client that
+// connects the moment the path exists is never refused. A path that bind()
+// created before listen() refuses only inside a window of microseconds,
+// hence the many rounds and the wait that spins without sleeping (with the
+// bind-then-listen order, about half of all runs of this test fail).
+TEST(ServeServer, SocketPathAppearsOnlyOnceListening) {
+  const std::string path = test_socket_path("ready");
+  SolveCache cache(16);
+  for (int round = 0; round < 1000; ++round) {
+    ServeOptions options;
+    options.socket_path = path;
+    options.threads = 1;
+    options.cache = &cache;
+    Server server(options);
+    std::thread server_thread([&server] { (void)server.run_socket(); });
+    while (::access(path.c_str(), F_OK) != 0) {
+    }
+    const bool connected = SocketClient(path).connected();
+    server.request_shutdown();
+    server_thread.join();
+    ASSERT_TRUE(connected) << "connect refused in round " << round;
+  }
+}
+
+/// A numeric field of /proc/self/status ("VmSize:" in kB, "Threads:"),
+/// -1 if absent.
+long proc_status(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+    if (line.rfind(field, 0) == 0) {
+      return std::stol(line.substr(field.size()));
+    }
   }
   return -1;
 }
@@ -221,6 +291,14 @@ long vm_size_kb() {
 // reader thread's stack per closed connection: the accept loop joins the
 // readers whose connection has closed, so their stacks are reused.
 TEST(ServeServer, SocketModeReapsReadersOfClosedConnections) {
+#if defined(__GLIBC__)
+  // Each glibc malloc arena reserves 64 MB of address space, and readers
+  // that overlap on a loaded machine make new ones (up to eight per core):
+  // growth that is no leak but shows in VmSize. With one arena, thread
+  // stacks are the only large VmSize term left to measure. (A sanitizer's
+  // allocator replaces glibc's arenas and ignores the call.)
+  (void)mallopt(M_ARENA_MAX, 1);
+#endif
   const std::string path = test_socket_path("reap");
   ServeOptions options;
   options.socket_path = path;
@@ -240,13 +318,26 @@ TEST(ServeServer, SocketModeReapsReadersOfClosedConnections) {
   constexpr int kWarmup = 8;
   constexpr int kConnections = 300;
   for (int seq = 0; seq < kWarmup; ++seq) one_request(seq);
-  const long before_kb = vm_size_kb();
+  const long threads_before = proc_status("Threads:");
+  const long before_kb = proc_status("VmSize:");
+  ASSERT_GT(threads_before, 0);
   ASSERT_GT(before_kb, 0);
   for (int seq = 0; seq < kConnections; ++seq) one_request(seq);
-  const long grown_kb = vm_size_kb() - before_kb;
+  // The accept loop joins only readers that have already exited, and the
+  // readers of the last connections may not have run yet. Wait (bounded)
+  // until they have all exited, then open one more connection so the
+  // accept loop joins them before VmSize is sampled.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (proc_status("Threads:") > threads_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  one_request(kConnections);
+  const long grown_kb = proc_status("VmSize:") - before_kb;
   server.request_shutdown();
   server_thread.join();
-  EXPECT_EQ(server.summary().connections, kWarmup + kConnections);
+  EXPECT_EQ(server.summary().connections, kWarmup + kConnections + 1);
   // An unjoined exited reader keeps its whole stack (8 MB by default)
   // mapped; allow an eighth of that per connection.
   EXPECT_LT(grown_kb, kConnections * 1024L)

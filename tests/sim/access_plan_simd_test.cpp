@@ -16,6 +16,8 @@
 #include "core/partitioner.h"
 #include "loopnest/schedule.h"
 #include "loopnest/stencil_program.h"
+#include "obs/histogram.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pattern/pattern_library.h"
 #include "sim/access_engine.h"
@@ -198,15 +200,34 @@ class StubMap final : public AddressMap {
   Count banks_;
 };
 
+/// The sim.conflict_cycles_per_group distribution recorded since the last
+/// registry clear.
+obs::HistogramSnapshot conflict_distribution() {
+  const obs::Histogram* hist = obs::Registry::instance().find_histogram(
+      "sim.conflict_cycles_per_group");
+  return hist != nullptr ? hist->snapshot() : obs::HistogramSnapshot{};
+}
+
+void expect_same_distribution(const obs::HistogramSnapshot& got,
+                              const obs::HistogramSnapshot& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.sum, want.sum);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(got.buckets, want.buckets);
+}
+
 /// Issues the same random groups through per-group issue() (the oracle
 /// path: StubMap resolves element {b} to bank b) and issue_batch_soa
-/// (tap-major) and demands identical cycles and stats.
+/// (tap-major) and demands identical cycles and stats — and, with metrics
+/// on, the same conflict-cycle distribution.
 void expect_soa_matches_issue(Count num_banks, Count taps, Count groups,
                               Count ports, Rng& rng) {
   const StubMap map(NdShape({1024}), num_banks);
   std::vector<Count> tap_major(static_cast<size_t>(taps) *
                                static_cast<size_t>(groups));
   for (Count& b : tap_major) b = rng.uniform(0, num_banks - 1);
+  obs::Registry::instance().clear();
   AccessEngine issue_engine(map, ports);
   Count issue_cycles = 0;
   std::vector<NdIndex> group(static_cast<size_t>(taps));
@@ -217,11 +238,17 @@ void expect_soa_matches_issue(Count num_banks, Count taps, Count groups,
     }
     issue_cycles += issue_engine.issue(group);
   }
+  const obs::HistogramSnapshot per_group = conflict_distribution();
+  obs::Registry::instance().clear();
   AccessEngine soa_engine(map, ports);
   const Count soa_cycles = soa_engine.issue_batch_soa(tap_major, taps, groups);
   EXPECT_EQ(soa_cycles, issue_cycles)
       << "banks=" << num_banks << " taps=" << taps << " groups=" << groups;
   expect_stats_equal(soa_engine.stats(), issue_engine.stats());
+  expect_same_distribution(conflict_distribution(), per_group);
+  if (obs::metrics_enabled()) {
+    EXPECT_EQ(per_group.count, groups);
+  }
 }
 
 TEST(AccessEngineSoa, MatchesPerGroupIssueOnRandomStreams) {
@@ -250,13 +277,41 @@ TEST(AccessEngineSoa, WideBankCountTakesExactScalarPath) {
 }
 
 TEST(AccessEngineSoa, MetricsEnabledStillMatches) {
-  // Metrics force the exact path (the per-group histogram must fire);
-  // statistics must not change.
-  Rng rng(20260810);
+  // With metrics on the SoA scorer keeps its path (bitmask for <= 64
+  // banks, exact beyond), its statistics stay bit-identical, and it records
+  // the conflict-cycle distribution per-group issue() records, under every
+  // tier.
   const bool was_enabled = obs::metrics_enabled();
   obs::set_metrics_enabled(true);
-  expect_soa_matches_issue(/*num_banks=*/13, /*taps=*/13, /*groups=*/21,
-                           /*ports=*/1, rng);
+  // A capped design: LoG under N_max = 10 has delta_P = 1, so every group
+  // collides and takes delta_P + 1 = 2 cycles.
+  const Pattern pattern = patterns::log5x5();
+  const NdShape shape({20, 26});
+  const CoreAddressMap map = solve_map(pattern, shape, /*max_banks=*/10);
+  const loopnest::StencilProgram program(shape, pattern, "capped");
+  obs::Registry::instance().clear();
+  const AccessStats reference = loopnest::simulate(program, map);
+  const obs::HistogramSnapshot per_group = conflict_distribution();
+  EXPECT_EQ(per_group.count, reference.iterations);
+  EXPECT_EQ(per_group.min, 1);
+  EXPECT_EQ(per_group.max, 1);
+  Rng rng(20260810);
+  for (const simd::Tier tier : simd::supported_tiers()) {
+    const simd::TierOverride guard(tier);
+    obs::Registry::instance().clear();
+    expect_stats_equal(loopnest::simulate_fast(program, map), reference);
+    expect_same_distribution(conflict_distribution(), per_group);
+    // Random streams mixing conflict-free and collided groups (the
+    // weighted zero sample plus per-group records), one and two ports.
+    expect_soa_matches_issue(/*num_banks=*/16, /*taps=*/5, /*groups=*/200,
+                             /*ports=*/1, rng);
+    expect_soa_matches_issue(/*num_banks=*/16, /*taps=*/5, /*groups=*/200,
+                             /*ports=*/2, rng);
+    // More than 64 banks: the exact path.
+    expect_soa_matches_issue(/*num_banks=*/100, /*taps=*/7, /*groups=*/33,
+                             /*ports=*/1, rng);
+  }
+  obs::Registry::instance().clear();
   obs::set_metrics_enabled(was_enabled);
 }
 

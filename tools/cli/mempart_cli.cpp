@@ -15,6 +15,7 @@
 //   mempart serve                                       (daemon on stdin/stdout)
 //   mempart serve   --socket /tmp/mempart.sock --queue-depth 256
 //   mempart stats   --in m.txt                          (render a snapshot)
+//   mempart stats   --in m.json                         (a --metrics file)
 //   mempart stats   --in m.ndjson --watch               (live refresh)
 //   mempart table1                                      (paper comparison)
 //
@@ -23,7 +24,8 @@
 // box3d:K), or a path to an ASCII-art file ('#' marks an element).
 //
 // --trace FILE / --metrics FILE enable the obs layer for the run and write
-// Chrome trace-event JSON / metrics JSON on exit. --openmetrics FILE /
+// Chrome trace-event JSON / one NDJSON metrics sample on exit (`mempart
+// stats --in FILE` renders the latter). --openmetrics FILE /
 // --ndjson FILE start the periodic snapshotter: OpenMetrics text rewritten
 // and an NDJSON sample appended every --snapshot-interval-ms while the
 // command runs, plus once at exit (docs/OBSERVABILITY.md).
@@ -98,7 +100,9 @@ void add_solver_flags(ArgParser& args) {
 
 void add_obs_flags(ArgParser& args) {
   args.add_string("trace", "", "write Chrome trace-event JSON to this file")
-      .add_string("metrics", "", "write metrics-registry JSON to this file")
+      .add_string("metrics", "",
+                  "write one NDJSON metrics sample to this file at exit "
+                  "(`mempart stats` reads it)")
       .add_string("openmetrics", "",
                   "snapshot the registry as OpenMetrics text to this file "
                   "(rewritten every interval and at exit)")
@@ -150,15 +154,17 @@ class ObsSession {
     }
   }
 
-  /// Commands running on their own SolveCache (`mempart batch`) point the
-  /// export here; everything else snapshots the process-wide cache.
+  /// Commands running on their own SolveCache (`mempart batch`, `mempart
+  /// serve`) point the export here; everything else snapshots the
+  /// process-wide cache.
   void publish_cache(const SolveCache* cache) {
     cache_.store(cache, std::memory_order_release);
   }
 
   /// `mempart serve` registers its server so every snapshot tick carries
-  /// live serve.* gauges alongside the cache.* ones. The server must stay
-  /// alive until finish() returns.
+  /// live serve.* gauges alongside the cache.* ones. A published cache or
+  /// server must outlive the session: its destructor writes the final
+  /// snapshot when a throw skips finish().
   void publish_server(const serve::Server* server) {
     server_.store(server, std::memory_order_release);
   }
@@ -180,7 +186,7 @@ class ObsSession {
       std::cout << "trace written to " << trace_path_ << '\n';
     }
     if (!metrics_path_.empty()) {
-      obs::write_text_file(metrics_path_, obs::metrics_json());
+      obs::write_text_file(metrics_path_, obs::ndjson_sample());
       std::cout << "metrics written to " << metrics_path_ << '\n';
     }
   }
@@ -617,33 +623,44 @@ int cmd_serve(const std::vector<std::string>& argv) {
                "max queued requests one worker drains into a single "
                "deduplicated solve_many batch");
   args.add_int("cache-capacity", 0,
-               "reconfigure the process-wide solve cache to this many "
-               "entries before serving (0 = keep current size)");
+               "serve from a solve cache of this many entries (0 = the "
+               "process-wide cache)");
   args.add_int("cache-shards", 0,
-               "cache lock shards when --cache-capacity resizes (0 = auto)");
+               "cache lock shards when --cache-capacity is given (0 = auto)");
   add_obs_flags(args);
   args.parse(argv);
   if (args.help_requested()) {
     std::cout << args.usage();
     return 0;
   }
-  ObsSession session(args);
-
   serve::ServeOptions options;
   options.socket_path = args.get_string("socket");
   options.threads = args.get_int("threads");
   options.queue_depth = args.get_int("queue-depth");
   options.max_batch = args.get_int("max-batch");
+  // A sized daemon gets its own cache, as `mempart batch` does; without
+  // the flag it serves from the process-wide one.
+  std::optional<SolveCache> sized_cache;
   if (args.get_int("cache-capacity") > 0) {
-    // Explicit, thread-safe resize of the shared cache — the daemon's
-    // sizing flag must win over whatever earlier code first touched
-    // SolveCache::global() with.
-    SolveCache::global().reconfigure(args.get_int("cache-capacity"),
-                                     args.get_int("cache-shards"));
+    sized_cache.emplace(args.get_int("cache-capacity"),
+                        args.get_int("cache-shards"));
+    options.cache = &*sized_cache;
   }
+  SolveCache& cache =
+      sized_cache.has_value() ? *sized_cache : SolveCache::global();
   serve::Server server(options);
+  // Declared after the cache and the server it publishes, so that when a
+  // throw unwinds this frame the session's final snapshot runs while both
+  // are still alive.
+  ObsSession session(args);
+  session.publish_cache(&cache);
   session.publish_server(&server);
   g_serve_server.store(&server, std::memory_order_release);
+  // Cleared on every way out, a throw included, so the signal handler
+  // never reaches a destroyed server.
+  struct Unregister {
+    ~Unregister() { g_serve_server.store(nullptr, std::memory_order_release); }
+  } unregister;
 
   // sigaction without SA_RESTART (std::signal would set it): the drain
   // signal must interrupt the blocking stdin read / poll so the server
@@ -658,7 +675,6 @@ int cmd_serve(const std::vector<std::string>& argv) {
   const serve::ServeSummary summary = options.socket_path.empty()
                                           ? server.run_pipe(std::cin, std::cout)
                                           : server.run_socket();
-  g_serve_server.store(nullptr, std::memory_order_release);
 
   std::cerr << "serve: " << summary.admitted << " admitted, "
             << summary.solved << " solved, " << summary.failed << " failed, "
@@ -672,7 +688,7 @@ int cmd_serve(const std::vector<std::string>& argv) {
   if (summary.drained) std::cerr << " (drained on signal)";
   if (summary.downstream_closed) std::cerr << "; output pipe closed early";
   std::cerr << '\n';
-  const SolveCache::Stats stats = SolveCache::global().stats();
+  const SolveCache::Stats stats = cache.stats();
   std::cerr << "serve: cache " << stats.hits << " hits / " << stats.misses
             << " misses / " << stats.evictions << " evictions ("
             << stats.entries << '/' << stats.capacity << " entries, "
@@ -721,9 +737,9 @@ std::string render_stats_table(const obs::MetricSample& sample) {
 
 int cmd_stats(const std::vector<std::string>& argv) {
   ArgParser args("mempart stats",
-                 "Render a metrics snapshot written by --openmetrics or "
-                 "--ndjson as an aligned table (one-shot, or --watch to "
-                 "follow a live file).");
+                 "Render a metrics snapshot written by --openmetrics, "
+                 "--ndjson or --metrics as an aligned table (one-shot, or "
+                 "--watch to follow a live file).");
   args.add_string("in", "", "snapshot file: OpenMetrics text or NDJSON "
                             "series (also accepted as a positional)");
   args.add_string("format", "auto", "input format: auto | openmetrics | "
