@@ -1,27 +1,12 @@
 #include "check/config.h"
 
-#include <cctype>
-#include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #include "common/errors.h"
 
 namespace mempart::check {
 namespace {
-
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
 
 const char* strategy_name(ConstraintStrategy s) {
   return s == ConstraintStrategy::kFastFold ? "fast_fold" : "same_size";
@@ -31,119 +16,12 @@ const char* tail_name(TailPolicy t) {
   return t == TailPolicy::kPadded ? "padded" : "compact";
 }
 
-/// Minimal recursive-descent parser for the JSON subset to_json() emits:
-/// objects, arrays, strings (with the escapes above), and signed integers.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool try_consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("dangling escape");
-        char e = text_[pos_++];
-        switch (e) {
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          default: out.push_back(e);
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  std::int64_t parse_int() {
-    skip_ws();
-    size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    // A sign needs a digit after it: strtoll would read a lone sign as 0.
-    const size_t digits = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == digits) fail("expected integer");
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(text_.c_str() + start, &end, 10);
-    if (errno == ERANGE) fail("integer out of 64-bit range");
-    return v;
-  }
-
-  std::uint64_t parse_uint() {
-    skip_ws();
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected unsigned integer");
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text_.c_str() + start, &end, 10);
-    if (errno == ERANGE) fail("integer out of 64-bit range");
-    return v;
-  }
-
-  std::vector<std::int64_t> parse_int_array() {
-    std::vector<std::int64_t> out;
-    expect('[');
-    if (try_consume(']')) return out;
-    do {
-      out.push_back(parse_int());
-    } while (try_consume(','));
-    expect(']');
-    return out;
-  }
-
-  /// Fails unless only whitespace remains — a repro file with trailing
-  /// garbage is more likely truncation or a bad merge than intent.
-  void expect_end() {
-    skip_ws();
-    if (pos_ < text_.size()) fail("trailing content after document");
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& why) {
-    std::ostringstream os;
-    os << "CheckConfig::from_json: " << why << " at byte " << pos_;
-    throw InvalidArgument(os.str());
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+/// Replaces `out` with the array of integers `in` is at.
+void read_ints(json::Reader& in, std::vector<std::int64_t>& out) {
+  out.clear();
+  in.begin_array();
+  while (in.next_item()) out.push_back(in.read_int());
+}
 
 }  // namespace
 
@@ -167,66 +45,85 @@ std::string CheckConfig::to_json() const {
   os << "],\n  \"max_banks\": " << max_banks
      << ",\n  \"bank_bandwidth\": " << bank_bandwidth << ",\n  \"strategy\": \""
      << strategy_name(strategy) << "\",\n  \"tail\": \"" << tail_name(tail)
-     << "\",\n  \"seed\": " << seed << ",\n  \"note\": ";
-  append_escaped(os, note);
-  os << "\n}\n";
+     << "\",\n  \"seed\": " << seed << ",\n  \"note\": \""
+     << json_escape(note) << "\"\n}\n";
   return os.str();
 }
 
-CheckConfig CheckConfig::from_json(const std::string& text) {
-  Parser p(text);
-  CheckConfig config;
-  p.expect('{');
-  if (!p.try_consume('}')) {
-    do {
-      const std::string key = p.parse_string();
-      p.expect(':');
-      if (key == "offsets") {
-        p.expect('[');
-        if (!p.try_consume(']')) {
-          do {
-            const auto coords = p.parse_int_array();
-            config.offsets.emplace_back(coords.begin(), coords.end());
-          } while (p.try_consume(','));
-          p.expect(']');
-        }
-      } else if (key == "shape") {
-        const auto extents = p.parse_int_array();
-        config.shape.assign(extents.begin(), extents.end());
-      } else if (key == "max_banks") {
-        config.max_banks = p.parse_int();
-      } else if (key == "bank_bandwidth") {
-        config.bank_bandwidth = p.parse_int();
-      } else if (key == "strategy") {
-        const std::string v = p.parse_string();
-        if (v == "fast_fold") {
-          config.strategy = ConstraintStrategy::kFastFold;
-        } else if (v == "same_size") {
-          config.strategy = ConstraintStrategy::kSameSize;
-        } else {
-          p.fail("unknown strategy '" + v + "'");
-        }
-      } else if (key == "tail") {
-        const std::string v = p.parse_string();
-        if (v == "padded") {
-          config.tail = TailPolicy::kPadded;
-        } else if (v == "compact") {
-          config.tail = TailPolicy::kCompact;
-        } else {
-          p.fail("unknown tail policy '" + v + "'");
-        }
-      } else if (key == "seed") {
-        config.seed = p.parse_uint();
-      } else if (key == "note") {
-        config.note = p.parse_string();
-      } else {
-        p.fail("unknown key '" + key + "'");
-      }
-    } while (p.try_consume(','));
-    p.expect('}');
+bool CheckConfig::read_field(json::Reader& in, std::string_view key) {
+  if (key == "offsets") {
+    offsets.clear();
+    in.begin_array();
+    while (in.next_item()) {
+      NdIndex& coords = offsets.emplace_back();
+      coords.reserve(offsets.front().size());  // offsets share one rank
+      read_ints(in, coords);
+    }
+  } else if (key == "shape") {
+    read_ints(in, shape);
+  } else if (key == "max_banks") {
+    max_banks = in.read_int();
+  } else if (key == "bank_bandwidth") {
+    bank_bandwidth = in.read_int();
+  } else if (key == "strategy") {
+    const std::string_view v = in.read_string();
+    if (v == "fast_fold") {
+      strategy = ConstraintStrategy::kFastFold;
+    } else if (v == "same_size") {
+      strategy = ConstraintStrategy::kSameSize;
+    } else {
+      in.fail("unknown strategy '" + std::string(v) + "'");
+    }
+  } else if (key == "tail") {
+    const std::string_view v = in.read_string();
+    if (v == "padded") {
+      tail = TailPolicy::kPadded;
+    } else if (v == "compact") {
+      tail = TailPolicy::kCompact;
+    } else {
+      in.fail("unknown tail policy '" + std::string(v) + "'");
+    }
+  } else if (key == "seed") {
+    seed = in.read_uint();
+  } else if (key == "note") {
+    note = in.read_string();
+  } else {
+    return false;
   }
-  p.expect_end();
+  return true;
+}
+
+CheckConfig CheckConfig::read(json::Reader& in) {
+  CheckConfig config;
+  in.begin_object();
+  for (std::string_view key; in.next_key(key);) {
+    if (!config.read_field(in, key)) {
+      in.fail("unknown key '" + std::string(key) + "'");
+    }
+  }
   return config;
+}
+
+CheckConfig CheckConfig::from_json(std::string_view text) {
+  json::Reader in(text, "CheckConfig::from_json");
+  CheckConfig config = read(in);
+  // Trailing garbage in a repro file is more likely truncation or a bad
+  // merge than intent.
+  in.expect_end();
+  return config;
+}
+
+PartitionRequest to_request(CheckConfig config) {
+  PartitionRequest request;
+  request.pattern = Pattern(std::move(config.offsets));
+  if (!config.shape.empty()) {
+    request.array_shape = NdShape(std::move(config.shape));
+  }
+  request.max_banks = config.max_banks;
+  request.bank_bandwidth = config.bank_bandwidth;
+  request.strategy = config.strategy;
+  request.tail = config.tail;
+  return request;
 }
 
 }  // namespace mempart::check

@@ -6,6 +6,7 @@
 
 #include "check/shrink.h"
 #include "common/errors.h"
+#include "common/json.h"
 #include "common/simd.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -14,48 +15,11 @@
 namespace mempart::check {
 namespace {
 
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
-
-/// Extracts the value of the top-level "config" key by brace matching
-/// (string-aware). Returns the whole text when the key is absent, so bare
-/// config documents replay too.
-std::string extract_config_object(const std::string& text) {
-  const size_t key = text.find("\"config\"");
-  if (key == std::string::npos) return text;
-  size_t pos = text.find('{', key);
-  MEMPART_REQUIRE(pos != std::string::npos,
-                  "config_from_repro: \"config\" key has no object value");
-  int depth = 0;
-  bool in_string = false;
-  for (size_t i = pos; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-    } else if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      if (--depth == 0) return text.substr(pos, i - pos + 1);
-    }
-  }
-  throw InvalidArgument("config_from_repro: unbalanced braces in repro");
+/// The repro document's members other than "config", written by
+/// repro_json() and skipped on replay.
+bool is_envelope_key(std::string_view key) {
+  return key == "schema" || key == "exhaustive" || key == "oracle_positions" ||
+         key == "divergences";
 }
 
 }  // namespace
@@ -69,18 +33,40 @@ std::string repro_json(const CheckConfig& config, const DiffReport& report) {
      << ",\n\"divergences\": [";
   for (size_t i = 0; i < report.divergences.size(); ++i) {
     if (i > 0) os << ',';
-    os << "\n  {\"kind\": ";
-    append_escaped(os, report.divergences[i].kind);
-    os << ", \"detail\": ";
-    append_escaped(os, report.divergences[i].detail);
-    os << '}';
+    os << "\n  {\"kind\": \"" << json_escape(report.divergences[i].kind)
+       << "\", \"detail\": \"" << json_escape(report.divergences[i].detail)
+       << "\"}";
   }
   os << "\n]\n}\n";
   return os.str();
 }
 
-CheckConfig config_from_repro(const std::string& text) {
-  return CheckConfig::from_json(extract_config_object(text));
+CheckConfig config_from_repro(std::string_view text) {
+  json::Reader in(text, "CheckConfig::from_json");
+  CheckConfig config;
+  bool envelope = false;
+  bool wrapped = false;
+  bool bare = false;
+  in.begin_object();
+  for (std::string_view key; in.next_key(key);) {
+    if (key == "config") {
+      config = CheckConfig::read(in);
+      wrapped = true;
+    } else if (is_envelope_key(key)) {
+      in.skip_value();
+      envelope = true;
+    } else if (config.read_field(in, key)) {
+      bare = true;
+    } else {
+      in.fail("unknown key '" + std::string(key) + "'");
+    }
+  }
+  if ((envelope || wrapped) && bare) {
+    in.fail("config field outside \"config\"");
+  }
+  if (envelope && !wrapped) in.fail("repro has no \"config\" object");
+  in.expect_end();
+  return config;
 }
 
 FuzzSummary run_fuzz(const FuzzOptions& options) {

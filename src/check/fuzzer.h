@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/config.h"
@@ -47,8 +48,9 @@ struct FuzzSummary {
                                      const DiffReport& report);
 
 /// Extracts the embedded config from a repro document produced by
-/// repro_json() (also accepts a bare config document).
-[[nodiscard]] CheckConfig config_from_repro(const std::string& text);
+/// repro_json(), skipping the envelope's other members (also accepts a
+/// bare config document). Throws InvalidArgument on malformed input.
+[[nodiscard]] CheckConfig config_from_repro(std::string_view text);
 
 /// Runs the fuzzer. Throws InvalidArgument on unusable options (iters < 1);
 /// filesystem errors while writing repros surface as InvalidState.

@@ -18,7 +18,7 @@
 #include "common/annotations.h"
 #include "common/env.h"
 #include "common/errors.h"
-#include "obs/trace.h"  // json_escape
+#include "common/json.h"
 
 namespace mempart::obs {
 namespace {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/errors.h"
+#include "common/json.h"
 
 namespace mempart::obs {
 namespace {

@@ -10,11 +10,10 @@
 #include <set>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include "common/errors.h"
+#include "common/json.h"
 #include "obs/sinks.h"
-#include "obs/trace.h"
 
 namespace mempart::obs {
 namespace {
@@ -52,139 +51,24 @@ std::int64_t wall_clock_ms() {
       .count();
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON value parser (objects / numbers / strings / literals), just
-// enough to read back our own NDJSON samples strictly.
-// ---------------------------------------------------------------------------
-
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  /// Parses one complete JSON object, flattening nested objects with
-  /// dotted keys ("counters" -> "counters.<name>"). Non-numeric leaves are
-  /// ignored. Throws InvalidArgument on malformed input.
-  std::map<std::string, double> parse_flat() {
-    std::map<std::string, double> out;
-    skip_ws();
-    parse_object("", out);
-    skip_ws();
-    MEMPART_REQUIRE(pos_ == text_.size(),
-                    "ndjson sample: trailing characters after object");
-    return out;
-  }
-
- private:
-  void parse_object(const std::string& prefix,
-                    std::map<std::string, double>& out) {
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return;
-    }
-    for (;;) {
-      skip_ws();
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      const std::string path = prefix.empty() ? key : prefix + '.' + key;
-      parse_value(path, out);
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return;
-    }
-  }
-
-  void parse_value(const std::string& path,
-                   std::map<std::string, double>& out) {
-    const char c = peek();
-    if (c == '{') {
-      parse_object(path, out);
-    } else if (c == '"') {
-      (void)parse_string();
-    } else if (c == 't' || c == 'f' || c == 'n') {
-      for (const std::string_view lit : {"true", "false", "null"}) {
-        if (text_.compare(pos_, lit.size(), lit) == 0) {
-          pos_ += lit.size();
-          return;
-        }
-      }
-      throw InvalidArgument("ndjson sample: bad literal");
+/// Flattens the JSON object `in` is at into `out`, nested objects under
+/// dotted keys ("counters" -> "counters.<name>"); non-numeric leaves are
+/// skipped.
+void flatten(json::Reader& in, const std::string& prefix, MetricSample& out) {
+  in.begin_object();
+  for (std::string_view key; in.next_key(key);) {
+    const std::string path =
+        prefix.empty() ? std::string(key) : prefix + '.' + std::string(key);
+    const char next = in.peek();
+    if (next == '{') {
+      flatten(in, path, out);
+    } else if (next == '-' || (next >= '0' && next <= '9')) {
+      out[path] = in.read_number();
     } else {
-      out[path] = parse_number();
+      in.skip_value();
     }
   }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        MEMPART_REQUIRE(pos_ < text_.size(),
-                        "ndjson sample: truncated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          default:
-            throw InvalidArgument("ndjson sample: unsupported escape");
-        }
-      }
-      out += c;
-    }
-    expect('"');
-    return out;
-  }
-
-  double parse_number() {
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    MEMPART_REQUIRE(pos_ > start, "ndjson sample: expected a number");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    MEMPART_REQUIRE(end != nullptr && *end == '\0',
-                    "ndjson sample: malformed number '" + token + "'");
-    return value;
-  }
-
-  char peek() const {
-    MEMPART_REQUIRE(pos_ < text_.size(), "ndjson sample: truncated input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    MEMPART_REQUIRE(pos_ < text_.size() && text_[pos_] == c,
-                    std::string("ndjson sample: expected '") + c + "'");
-    ++pos_;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
+}
 
 // ---------------------------------------------------------------------------
 // OpenMetrics parsing
@@ -407,7 +291,11 @@ MetricSample last_ndjson_sample(const std::string& text) {
     }
   }
   MEMPART_REQUIRE(!last.empty(), "ndjson series: no sample lines");
-  return JsonReader(last).parse_flat();
+  json::Reader reader(last, "ndjson sample");
+  MetricSample out;
+  flatten(reader, "", out);
+  reader.expect_end();
+  return out;
 }
 
 Snapshotter::Snapshotter(SnapshotOptions options)

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/json.h"
 #include "obs/flight_recorder.h"
 
 namespace mempart::obs {
@@ -167,30 +168,6 @@ Span& Span::arg(std::string_view key, std::string_view value) {
     args_.emplace_back(std::string(key), '"' + json_escape(value) + '"');
   }
   return *this;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace mempart::obs

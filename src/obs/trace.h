@@ -114,7 +114,4 @@ class Span {
   std::vector<std::pair<std::string, std::string>> args_;
 };
 
-/// Escapes a string for embedding inside a JSON string literal.
-[[nodiscard]] std::string json_escape(std::string_view text);
-
 }  // namespace mempart::obs

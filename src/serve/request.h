@@ -1,8 +1,10 @@
 // NDJSON request/response grammar of `mempart serve`.
 //
-// A request line is the `mempart batch` CheckConfig schema plus two serving
-// fields, both optional strings echoed verbatim in the response (a tag the
-// request didn't carry is omitted from the response entirely):
+// A request line is the `mempart batch` CheckConfig schema, decoded by the
+// same field table (check::CheckConfig::read_field) through the strict
+// reader in common/json.h, plus two serving fields, both optional strings
+// echoed verbatim in the response (a tag the request didn't carry is
+// omitted from the response entirely):
 //
 //   {"id": "c3-17", "tenant": "imaging",
 //    "offsets": [[0,0],[0,1],[1,0]], "shape": [640,480],
@@ -14,8 +16,11 @@
 // as solves complete, NOT in request order (the pipe `mempart batch` keeps
 // input order; a daemon cannot without head-of-line blocking), so clients
 // match responses to requests by id. `tenant` tags the request's owner for
-// multi-tenant accounting. `seed`/`note` are accepted for compatibility
-// with the batch/fuzz corpus and ignored.
+// multi-tenant accounting. `seed` (an unsigned 64-bit integer) and `note`
+// are decoded as in the batch/fuzz corpus, then dropped. Strings take every
+// JSON escape, `\uXXXX` and surrogate pairs included, decoded to UTF-8; a
+// raw control byte, a lone surrogate or bad hex is an error naming its
+// byte offset.
 //
 // Response lines (docs/SERVING.md has the full field table):
 //
@@ -30,6 +35,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "core/partitioner.h"
 
@@ -47,7 +53,7 @@ struct ServeRequest {
 /// `out.tenant` are filled best-effort even on failure (any tag parsed
 /// before the malformed token survives), so error responses can still be
 /// correlated.
-[[nodiscard]] bool parse_request(const std::string& line, ServeRequest& out,
+[[nodiscard]] bool parse_request(std::string_view line, ServeRequest& out,
                                  std::string* error);
 
 /// Renders the success response for a solved request.

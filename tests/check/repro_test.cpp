@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "check/config.h"
 #include "check/differential.h"
@@ -70,6 +72,53 @@ TEST(CheckConfigJson, RejectsALoneSign) {
     } catch (const InvalidArgument& e) {
       EXPECT_NE(std::string(e.what()).find("expected integer at byte " +
                                            std::to_string(digit)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CheckConfigJson, EscapesEveryControlByteInTheNote) {
+  CheckConfig config = sample_config();
+  config.note.clear();
+  for (char c = 0x01; c < 0x20; ++c) config.note += c;
+  const std::string json = config.to_json();
+  // The only raw control bytes left are to_json's own line breaks.
+  for (const char c : json) {
+    EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+        << "raw byte " << static_cast<int>(c);
+  }
+  EXPECT_EQ(CheckConfig::from_json(json), config);
+
+  DiffReport report;
+  report.divergences.push_back({"kind\r", config.note});
+  const std::string doc = repro_json(config, report);
+  for (const char c : doc) {
+    EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+        << "raw byte " << static_cast<int>(c);
+  }
+  EXPECT_EQ(config_from_repro(doc), config);
+}
+
+TEST(ReproDocument, DecodesEveryStringEscapeInTheNote) {
+  const std::string doc =
+      R"({"schema": "mempart-check-repro-v1", "config": {"offsets": [[0]], )"
+      R"("note": "caf\u00e9 \ud83d\ude00\b\f\r\/"}, "divergences": []})";
+  EXPECT_EQ(config_from_repro(doc).note,
+            "caf\xC3\xA9 \xF0\x9F\x98\x80\b\f\r/");
+}
+
+TEST(ReproDocument, RejectsBadStringsAtTheirByteOffset) {
+  for (const auto& [doc, at] : std::vector<std::pair<std::string, std::string>>{
+           {R"({"offsets": [[0]], "note": "a\udc00"})", "\\udc00"},
+           {R"({"offsets": [[0]], "note": "a\u12x4"})", "x4"},
+           {"{\"offsets\": [[0]], \"note\": \"a\x01\"}", "\x01"}}) {
+    try {
+      (void)config_from_repro(doc);
+      ADD_FAILURE() << "accepted " << doc;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(" at byte " +
+                                           std::to_string(doc.find(at))),
                 std::string::npos)
           << e.what();
     }

@@ -1,18 +1,14 @@
-// Minimal JSON parser for validating the obs sinks' output in tests.
-//
-// Parses the full JSON grammar the sinks can emit (objects, arrays,
-// strings with escapes, numbers, booleans, null) into a tiny DOM so tests
-// can assert structure and round-trip values, without adding a JSON
-// library dependency to the repo.
+// Tiny JSON DOM for validating the obs sinks' output in tests, built by
+// the program's own strict reader (common/json.h) so tests can assert
+// structure and round-trip values without a JSON library dependency.
 #pragma once
 
-#include <cctype>
-#include <cstdlib>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "common/json.h"
 
 namespace mempart::testing {
 
@@ -37,179 +33,50 @@ struct JsonValue {
 
 class JsonParser {
  public:
-  /// Parses `text`, throwing std::runtime_error on any syntax error or
+  /// Parses `text`, throwing InvalidArgument on any syntax error or
   /// trailing garbage — the test's validity oracle.
   static JsonValue parse(const std::string& text) {
-    JsonParser parser(text);
-    JsonValue value = parser.parse_value();
-    parser.skip_ws();
-    if (parser.pos_ != text.size()) {
-      throw std::runtime_error("trailing garbage at " +
-                               std::to_string(parser.pos_));
-    }
+    json::Reader in(text, "test json");
+    JsonValue value = read(in);
+    in.expect_end();
     return value;
   }
 
  private:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) throw std::runtime_error("unexpected end");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      throw std::runtime_error(std::string("expected '") + c + "' at " +
-                               std::to_string(pos_));
-    }
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return parse_string();
-    if (c == 't' || c == 'f') return parse_bool();
-    if (c == 'n') return parse_null();
-    return parse_number();
-  }
-
-  JsonValue parse_object() {
+  static JsonValue read(json::Reader& in) {
     JsonValue value;
-    value.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return value;
-    }
-    for (;;) {
-      skip_ws();
-      JsonValue key = parse_string();
-      skip_ws();
-      expect(':');
-      value.members[key.text] = parse_value();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return value;
-    }
-  }
-
-  JsonValue parse_array() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return value;
-    }
-    for (;;) {
-      value.items.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return value;
-    }
-  }
-
-  JsonValue parse_string() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kString;
-    expect('"');
-    while (peek() != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              throw std::runtime_error("bad \\u escape");
-            }
-            const std::string hex = text_.substr(pos_, 4);
-            pos_ += 4;
-            c = static_cast<char>(std::strtol(hex.c_str(), nullptr, 16));
-            break;
-          }
-          default: throw std::runtime_error("bad escape");
+    switch (const char c = in.peek()) {
+      case '{':
+        value.kind = JsonValue::Kind::kObject;
+        in.begin_object();
+        for (std::string_view key; in.next_key(key);) {
+          const std::string name(key);  // the value's strings reuse `key`
+          value.members[name] = read(in);
         }
-      }
-      value.text += c;
+        break;
+      case '[':
+        value.kind = JsonValue::Kind::kArray;
+        in.begin_array();
+        while (in.next_item()) value.items.push_back(read(in));
+        break;
+      case '"':
+        value.kind = JsonValue::Kind::kString;
+        value.text = in.read_string();
+        break;
+      case 't':
+      case 'f':
+      case 'n':
+        value.kind =
+            c == 'n' ? JsonValue::Kind::kNull : JsonValue::Kind::kBool;
+        value.boolean = c == 't';
+        in.skip_value();
+        break;
+      default:
+        value.kind = JsonValue::Kind::kNumber;
+        value.number = in.read_number();
     }
-    ++pos_;
     return value;
   }
-
-  JsonValue parse_bool() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      value.boolean = true;
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      value.boolean = false;
-      pos_ += 5;
-    } else {
-      throw std::runtime_error("bad literal");
-    }
-    return value;
-  }
-
-  JsonValue parse_null() {
-    if (text_.compare(pos_, 4, "null") != 0) {
-      throw std::runtime_error("bad literal");
-    }
-    pos_ += 4;
-    JsonValue value;
-    value.kind = JsonValue::Kind::kNull;
-    return value;
-  }
-
-  JsonValue parse_number() {
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      throw std::runtime_error("bad number at " + std::to_string(start));
-    }
-    JsonValue value;
-    value.kind = JsonValue::Kind::kNumber;
-    value.number = std::strtod(text_.substr(start, pos_ - start).c_str(),
-                               nullptr);
-    return value;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
 };
 
 }  // namespace mempart::testing

@@ -158,6 +158,17 @@ TEST_F(SnapshotTest, LastNdjsonSampleRejectsGarbage) {
   EXPECT_THROW(last_ndjson_sample("{\"unterminated\": 1\n"), InvalidArgument);
 }
 
+TEST_F(SnapshotTest, LastNdjsonSampleBoundsNesting) {
+  // Each level of a flattened object is a stack frame: a line nested
+  // 200,000 deep must be rejected, not overflow the stack.
+  constexpr std::size_t kDepth = 200000;
+  std::string line;
+  for (std::size_t i = 0; i < kDepth; ++i) line += "{\"a\":";
+  line += '1';
+  line.append(kDepth, '}');
+  EXPECT_THROW(last_ndjson_sample(line + '\n'), InvalidArgument);
+}
+
 TEST_F(SnapshotTest, SnapshotterWritesBothFormatsOnStop) {
   const std::string om_path = ::testing::TempDir() + "snap_stop.om";
   const std::string nd_path = ::testing::TempDir() + "snap_stop.ndjson";

@@ -82,6 +82,72 @@ TEST(ServeRequest, RejectsALoneSign) {
   }
 }
 
+TEST(ServeRequest, DecodesEveryStringEscape) {
+  ServeRequest parsed;
+  std::string error;
+  ASSERT_TRUE(parse_request(
+      R"({"id": "caf\u00e9", "tenant": "\ud83d\ude00\b\f\r\/\n\t\"\\", )"
+      R"("offsets": [[0], [1]]})",
+      parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.id, "caf\xC3\xA9");
+  // The surrogate pair is one code point, U+1F600, four UTF-8 bytes.
+  EXPECT_EQ(parsed.tenant, "\xF0\x9F\x98\x80\b\f\r/\n\t\"\\");
+  const std::string ok =
+      ok_response(parsed, Partitioner::solve(parsed.request));
+  EXPECT_NE(ok.find("\"id\": \"caf\xC3\xA9\""), std::string::npos) << ok;
+}
+
+TEST(ServeRequest, RejectsBadStringsAtTheirByteOffset) {
+  // Each case names the substring whose first byte the error must point
+  // at: the escape of a lone surrogate, a bad hex digit, a raw control
+  // byte. The id before it still reaches the error response.
+  const struct {
+    std::string line;
+    std::string at;
+    std::string why;
+  } cases[] = {
+      {R"({"id": "a", "tenant": "x\ud83dy", "offsets": [[0]]})", "\\ud83d",
+       "lone surrogate"},
+      {R"({"id": "a", "tenant": "x\ude00", "offsets": [[0]]})", "\\ude00",
+       "lone surrogate"},
+      {R"({"id": "a", "tenant": "\ud83d\u0041", "offsets": [[0]]})",
+       "\\ud83d", "lone surrogate"},
+      {R"({"id": "a", "tenant": "\u00g9", "offsets": [[0]]})", "g9",
+       "bad hex digit in \\u escape"},
+      {"{\"id\": \"a\", \"tenant\": \"x\ry\", \"offsets\": [[0]]}", "\r",
+       "raw control byte in string"},
+  };
+  for (const auto& c : cases) {
+    ServeRequest parsed;
+    std::string error;
+    EXPECT_FALSE(parse_request(c.line, parsed, &error)) << c.line;
+    EXPECT_NE(error.find(c.why + " at byte " +
+                         std::to_string(c.line.find(c.at))),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(parsed.id, "a");
+  }
+}
+
+TEST(ServeRequest, SeedIsTheBatchSchemasUnsignedInteger) {
+  // The same grammar as CheckConfig::from_json, which `mempart batch`
+  // reads: any unsigned 64-bit value, and no sign.
+  ServeRequest parsed;
+  std::string error;
+  EXPECT_TRUE(parse_request(
+      R"({"offsets": [[0]], "seed": 18446744073709551615, "note": "n"})",
+      parsed, &error))
+      << error;
+  EXPECT_FALSE(parse_request(R"({"offsets": [[0]], "seed": -1})", parsed,
+                             &error));
+  EXPECT_NE(error.find("expected unsigned integer"), std::string::npos)
+      << error;
+  EXPECT_FALSE(parse_request(
+      R"({"offsets": [[0]], "seed": 18446744073709551616})", parsed, &error));
+  EXPECT_NE(error.find("out of 64-bit range"), std::string::npos) << error;
+}
+
 TEST(ServeRequest, RejectsSemanticallyInvalidPatterns) {
   ServeRequest parsed;
   std::string error;

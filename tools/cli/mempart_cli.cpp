@@ -47,6 +47,7 @@
 #include "common/args.h"
 #include "common/env.h"
 #include "common/errors.h"
+#include "common/json.h"
 #include "common/parallel.h"
 #include "common/table.h"
 #include "core/solution_io.h"
@@ -439,15 +440,7 @@ BatchLine parse_batch_line(std::size_t line_number, const std::string& text) {
   BatchLine parsed;
   parsed.line_number = line_number;
   try {
-    const check::CheckConfig config = check::CheckConfig::from_json(text);
-    PartitionRequest request;
-    request.pattern = Pattern(config.offsets);
-    if (!config.shape.empty()) request.array_shape = NdShape(config.shape);
-    request.max_banks = config.max_banks;
-    request.bank_bandwidth = config.bank_bandwidth;
-    request.strategy = config.strategy;
-    request.tail = config.tail;
-    parsed.request = std::move(request);
+    parsed.request = check::to_request(check::CheckConfig::from_json(text));
   } catch (const Error& e) {
     parsed.error = e.what();
   }
@@ -477,7 +470,7 @@ void write_batch_result(std::ostream& out, std::size_t line_number,
 void write_batch_error(std::ostream& out, std::size_t line_number,
                        const std::string& error) {
   out << "{\"line\": " << line_number << ", \"ok\": false, \"error\": \""
-      << obs::json_escape(error) << "\"}\n";
+      << json_escape(error) << "\"}\n";
 }
 
 int cmd_batch(const std::vector<std::string>& argv) {
